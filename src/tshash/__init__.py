@@ -13,7 +13,6 @@ from .data import (
     KernelConfig,
     PairSupervision,
     generate_clusters,
-    kernel_features,
     kernel_matrix,
     load_dataset,
     load_supervision,
@@ -23,17 +22,16 @@ from .data import (
     supervision_from_distance,
     supervision_from_labels,
 )
-from .loss import LOSS_TAGS, BitContext, LossKind, pair_loss, quadratic_coeff, quadratic_coeffs
+from .loss import LOSS_TAGS, LossKind, pair_loss, quadratic_coeffs
 from .codegen import (
     BqpInstance,
     CodeMatrix,
     TrainConfig,
-    assemble_bqp,
     box_relax,
     learn_codes,
     pairwise_objective,
-    round_and_select,
     spectral_relax,
+    update_bit,
 )
 from .packed import CodesFormatError, PackedCodes, pack_signs, read_codes_file, write_codes_file
 from .hashfn import (
@@ -52,7 +50,6 @@ from .retrieval import (
     EvalReport,
     GroundTruth,
     evaluate,
-    hamming_distance,
     hamming_distances,
     load_ground_truth,
     rank,

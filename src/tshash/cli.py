@@ -211,9 +211,8 @@ def cmd_query(args) -> int:
         out = sys.stdout
         out.write("query,rank,id,distance\n")
         for qi in range(query_codes.n):
-            dists = retrieval.hamming_distances(db, query_codes.words[qi])
-            order = np.lexsort((db.ids, dists))[: args.k]
-            for pos, row in enumerate(order):
+            order, dists = retrieval._ranked_order(db, query_codes.words[qi])
+            for pos, row in enumerate(order[: args.k]):
                 out.write(f"{qi},{pos},{db.ids[row]},{dists[row]}\n")
     return 0
 

@@ -2,17 +2,19 @@
 
 One sweep visits every bit column in order. With all other bits frozen, the
 pairwise code loss restricted to bit k collapses to a quadratic form
-z.T A z over the n column entries (see loss.quadratic_coeffs); that
-instance is relaxed twice (sphere, then box), the relaxed solutions are
-sign-rounded, and the best of {rounded candidates, current column} is kept,
-so the training objective never increases.
+z.T A z over the n column entries (see loss.quadratic_coeffs). The pairs
+never change between updates, so the sparse structure of A is built once
+and only its coefficients are rewritten per bit. update_bit relaxes each
+instance twice (sphere, then box), sign-rounds the relaxed solutions and
+keeps the best of {rounded candidates, current column}, so the training
+objective never increases.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -25,10 +27,9 @@ __all__ = [
     "BqpInstance",
     "TrainConfig",
     "TraceEntry",
-    "assemble_bqp",
     "spectral_relax",
     "box_relax",
-    "round_and_select",
+    "update_bit",
     "learn_codes",
     "pairwise_objective",
 ]
@@ -36,6 +37,10 @@ __all__ = [
 # Dense eigendecomposition is cheap and exact below this size; larger
 # instances fall back to shifted power iteration on the sparse matrix.
 _DENSE_EIG_CUTOFF = 600
+
+# Projected-gradient limits of the box relaxation.
+_BOX_MAX_ITERS = 200
+_BOX_TOL = 1e-6
 
 
 @dataclass
@@ -61,27 +66,44 @@ class CodeMatrix:
         return self.bits.shape[1]
 
 
-@dataclass
 class BqpInstance:
-    """Symmetric coefficient matrix of one per-bit binary quadratic problem."""
+    """Per-bit binary quadratic problem z.T A z on a fixed set of point pairs.
 
-    matrix: sparse.csr_matrix
+    Each pair p = (i[p], j[p]) owns the two entries A[i, j] = A[j, i];
+    every other entry, the diagonal included, is zero. The CSR structure is
+    built once; set_coefficients rewrites the pair values in place.
+    """
 
-    def __post_init__(self):
-        if not sparse.issparse(self.matrix):
-            self.matrix = sparse.csr_matrix(np.asarray(self.matrix, dtype=np.float64))
-        self.matrix = self.matrix.tocsr().astype(np.float64)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("coefficient matrix must be square")
-        asym = self.matrix - self.matrix.T
-        if asym.nnz and abs(asym).max() > 1e-12:
-            raise ValueError("coefficient matrix must be symmetric")
-        if self.matrix.diagonal().any():
-            raise ValueError("coefficient matrix must have a zero diagonal")
+    def __init__(self, n: int, i: np.ndarray, j: np.ndarray):
+        rows = np.concatenate([i, j])
+        cols = np.concatenate([j, i])
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        # CSR slot -> pair index, so that .data = a[_slot_pair].
+        self._slot_pair = np.concatenate([np.arange(i.size), np.arange(i.size)])[order]
+        self.matrix = sparse.csr_matrix(
+            (np.zeros(order.size), cols[order], indptr), shape=(n, n)
+        )
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "BqpInstance":
-        return cls(sparse.csr_matrix(np.asarray(a, dtype=np.float64)))
+        """Instance over the nonzero upper-triangle entries of a dense matrix,
+        which must be square, symmetric and zero on the diagonal."""
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("coefficient matrix must be square")
+        if a.size and np.abs(a - a.T).max() > 1e-12:
+            raise ValueError("coefficient matrix must be symmetric")
+        if np.diagonal(a).any():
+            raise ValueError("coefficient matrix must have a zero diagonal")
+        i, j = np.nonzero(np.triu(a, 1))
+        bqp = cls(a.shape[0], i, j)
+        bqp.set_coefficients(a[i, j])
+        return bqp
+
+    def set_coefficients(self, a: np.ndarray) -> None:
+        """Set A[i, j] = A[j, i] = a[p] for every pair p."""
+        np.take(np.asarray(a, dtype=np.float64), self._slot_pair, out=self.matrix.data)
 
     @property
     def n(self) -> int:
@@ -116,8 +138,6 @@ class TrainConfig:
     loss: LossKind
     sweeps: int = 1
     seed: int = 0
-    box_max_iters: int = 200
-    box_tol: float = 1e-6
 
     def __post_init__(self):
         if self.m < 1:
@@ -126,10 +146,6 @@ class TrainConfig:
             raise ValueError(f"loss is configured for m={self.loss.m}, expected {self.m}")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if self.box_max_iters < 1:
-            raise ValueError("box_max_iters must be >= 1")
-        if not self.box_tol > 0:
-            raise ValueError("box_tol must be positive")
 
 
 def _pair_products(bits: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -137,44 +153,16 @@ def _pair_products(bits: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray
     return np.sum(bits[i] * bits[j], axis=1, dtype=np.int64)
 
 
+def _total_loss(kind: LossKind, s: np.ndarray, y: np.ndarray) -> float:
+    return 2.0 * float(np.sum(pair_loss(kind, s, y)))
+
+
 def pairwise_objective(sup: PairSupervision, codes: CodeMatrix, kind: LossKind) -> float:
     """Total loss over all defined ordered pairs (each stored pair twice)."""
     if codes.n != sup.n:
         raise ValueError("code matrix and supervision cover different point counts")
     i, j, y = sup.arrays()
-    if i.size == 0:
-        return 0.0
-    s = _pair_products(codes.bits, i, j)
-    return 2.0 * float(np.sum(pair_loss(kind, s, y)))
-
-
-def _coefficient_matrix(
-    n: int, i: np.ndarray, j: np.ndarray, a: np.ndarray
-) -> sparse.csr_matrix:
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    vals = np.concatenate([a, a])
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def assemble_bqp(sup: PairSupervision, codes: CodeMatrix, k: int, kind: LossKind) -> BqpInstance:
-    """Coefficient matrix for updating bit column k with all others fixed.
-
-    A[i, j] = A[j, i] = (l(+1,+1) - l(-1,+1)) / 2 for each defined pair, so
-    that z.T A z plus the per-pair constants reproduces the ordered-pair
-    restricted loss.
-    """
-    if not 0 <= k < codes.m:
-        raise ValueError(f"bit index {k} out of range for m={codes.m}")
-    if codes.n != sup.n:
-        raise ValueError("code matrix and supervision cover different point counts")
-    i, j, y = sup.arrays()
-    if i.size == 0:
-        return BqpInstance(sparse.csr_matrix((sup.n, sup.n), dtype=np.float64))
-    s = _pair_products(codes.bits, i, j)
-    sbar = s - codes.bits[i, k].astype(np.int64) * codes.bits[j, k]
-    a, _ = quadratic_coeffs(kind, sbar, y)
-    return BqpInstance(_coefficient_matrix(sup.n, i, j, a))
+    return _total_loss(kind, _pair_products(codes.bits, i, j), y)
 
 
 def spectral_relax(
@@ -241,7 +229,7 @@ def spectral_relax(
 
 
 def box_relax(
-    bqp: BqpInstance, init: np.ndarray, max_iters: int = 200, tol: float = 1e-6
+    bqp: BqpInstance, init: np.ndarray, max_iters: int = _BOX_MAX_ITERS, tol: float = _BOX_TOL
 ) -> np.ndarray:
     """Projected-gradient descent on z.T A z over the box [-1, 1]^n.
 
@@ -290,27 +278,28 @@ def _sign_round(v: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(v, dtype=np.float64) >= 0.0, 1, -1).astype(np.int8)
 
 
-def round_and_select(
-    bqp: BqpInstance, candidates: Sequence[np.ndarray], incumbent: np.ndarray
-) -> np.ndarray:
-    """Best sign vector among rounded candidates and the incumbent.
+def update_bit(
+    bqp: BqpInstance, a: np.ndarray, incumbent: np.ndarray, seed: int = 0
+) -> tuple[np.ndarray, float]:
+    """One bit update: the new column and its change in objective.
 
-    Candidates are rounded by sign, scored by the quadratic objective, and
-    the incumbent wins all ties, so the returned column never scores worse
-    than the current one.
+    Writes the pair coefficients a into bqp, relaxes the problem over the
+    sphere (seeded by seed) and then the box, and sign-rounds both relaxed
+    solutions. Each candidate is scored by z.T A z, which differs from the
+    ordered-pair training objective only by a constant (see loss.py), and
+    the incumbent wins all ties, so the returned change is never positive.
     """
-    if len(candidates) == 0:
-        raise ValueError("need at least one candidate")
-    best = np.asarray(incumbent, dtype=np.int8).copy()
-    if not np.isin(best, (-1, 1)).all():
-        raise ValueError("incumbent must be a sign vector")
-    best_val = bqp.quad(best)
-    for cand in candidates:
-        rounded = _sign_round(cand)
-        val = bqp.quad(rounded)
+    bqp.set_coefficients(a)
+    v0 = spectral_relax(bqp, seed=seed)
+    v1 = box_relax(bqp, v0)
+    best = np.array(incumbent, dtype=np.int8)
+    start = best_val = bqp.quad(best)
+    for cand in (v0, v1):
+        col = _sign_round(cand)
+        val = bqp.quad(col)
         if val < best_val:
-            best, best_val = rounded, val
-    return best
+            best, best_val = col, val
+    return best, best_val - start
 
 
 def _spectral_seed(seed: int, sweep: int, k: int) -> int:
@@ -323,9 +312,9 @@ def learn_codes(
     """Infer the code matrix by cyclic per-bit updates (the inference step).
 
     Returns the codes together with an objective trace holding the total
-    pairwise loss after every bit update. Each update scores the incumbent
-    column and both rounded relaxation candidates with the same exact
-    pipeline used for the trace, and keeps the incumbent on ties, so the
+    pairwise loss after every bit update. The trace starts from the exact
+    objective of the random initial codes and adds the change that each
+    update_bit call reports; those changes are never positive, so the
     trace is non-increasing by construction.
     """
     n = sup.n
@@ -334,34 +323,17 @@ def learn_codes(
     bits = (rng.integers(0, 2, size=(n, cfg.m), dtype=np.int8) * 2 - 1).astype(np.int8)
 
     i, j, y = sup.arrays()
-    trace: list[TraceEntry] = []
-    if i.size == 0:
-        for sweep in range(cfg.sweeps):
-            for k in range(cfg.m):
-                trace.append(TraceEntry(sweep, k, 0.0))
-        return CodeMatrix(bits), trace
-
-    def column_objective(sbar: np.ndarray, col: np.ndarray) -> tuple[float, np.ndarray]:
-        s_col = sbar + col[i].astype(np.int64) * col[j]
-        return 2.0 * float(np.sum(pair_loss(kind, s_col, y))), s_col
-
+    bqp = BqpInstance(n, i, j)
     s = _pair_products(bits, i, j)
+    objective = _total_loss(kind, s, y)
+    trace: list[TraceEntry] = []
     for sweep in range(cfg.sweeps):
         for k in range(cfg.m):
             sbar = s - bits[i, k].astype(np.int64) * bits[j, k]
             a, _ = quadratic_coeffs(kind, sbar, y)
-            bqp = BqpInstance(_coefficient_matrix(n, i, j, a))
-            v0 = spectral_relax(bqp, seed=_spectral_seed(cfg.seed, sweep, k))
-            v1 = box_relax(bqp, v0, cfg.box_max_iters, cfg.box_tol)
-
-            best_col = bits[:, k].copy()
-            best_obj, best_s = column_objective(sbar, best_col)
-            for cand in (v0, v1):
-                col = _sign_round(cand)
-                obj, s_cand = column_objective(sbar, col)
-                if obj < best_obj:
-                    best_col, best_obj, best_s = col, obj, s_cand
-            bits[:, k] = best_col
-            s = best_s
-            trace.append(TraceEntry(sweep, k, best_obj))
+            col, delta = update_bit(bqp, a, bits[:, k], _spectral_seed(cfg.seed, sweep, k))
+            bits[:, k] = col
+            s = sbar + col[i].astype(np.int64) * col[j]
+            objective += delta
+            trace.append(TraceEntry(sweep, k, objective))
     return CodeMatrix(bits), trace

@@ -21,7 +21,6 @@ __all__ = [
     "load_supervision",
     "rbf_bandwidth",
     "sample_anchors",
-    "kernel_features",
     "kernel_matrix",
 ]
 
@@ -177,7 +176,6 @@ class PairSupervision:
                 raise DataFormatError("duplicate pair")
         for arr in (self.i, self.j, self.y):
             arr.flags.writeable = False
-        self._index = {(int(a), int(b)): float(v) for a, b, v in zip(self.i, self.j, self.y)}
 
     @classmethod
     def from_entries(cls, n: int, entries) -> "PairSupervision":
@@ -198,11 +196,6 @@ class PairSupervision:
 
     def __len__(self) -> int:
         return self.i.size
-
-    def lookup(self, a: int, b: int) -> float | None:
-        """Affinity of the (a, b) pair in either order, or None if undefined."""
-        key = (a, b) if a < b else (b, a)
-        return self._index.get(key)
 
     def arrays(self):
         return self.i, self.j, self.y
@@ -364,8 +357,3 @@ def kernel_matrix(points: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     sq = cdist(points, cfg.anchors, "sqeuclidean")
     return np.exp(-sq / (2.0 * cfg.bandwidth**2))
 
-
-def kernel_features(x: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Kernel-transferred representation of a single point (length Q)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    return kernel_matrix(x[None, :], cfg)[0]

@@ -21,9 +21,7 @@ import numpy as np
 __all__ = [
     "LOSS_TAGS",
     "LossKind",
-    "BitContext",
     "pair_loss",
-    "quadratic_coeff",
     "quadratic_coeffs",
 ]
 
@@ -45,16 +43,6 @@ class LossKind:
             raise ValueError("m must be >= 1")
         if self.tag == "ee" and not self.lam > 0:
             raise ValueError("lam must be positive for the ee loss")
-
-
-@dataclass(frozen=True)
-class BitContext:
-    """State of one bit update for one pair: bit index k, the inner product
-    sbar of the two codes over the other m-1 bits, and the affinity y."""
-
-    k: int
-    sbar: int
-    y: float
 
 
 def _loss_values(kind: LossKind, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -106,10 +94,3 @@ def quadratic_coeffs(kind: LossKind, sbar, y):
     lo = _loss_values(kind, sbar_arr - 1, y_arr)
     return 0.5 * (hi - lo), 0.5 * (hi + lo)
 
-
-def quadratic_coeff(kind: LossKind, ctx: BitContext) -> tuple[float, float]:
-    """(a, c) of the quadratic form for a single bit update."""
-    if not 0 <= ctx.k < kind.m:
-        raise ValueError(f"bit index {ctx.k} out of range for m={kind.m}")
-    a, c = quadratic_coeffs(kind, ctx.sbar, ctx.y)
-    return float(a), float(c)

@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .packed import PackedCodes, words_per_code, _padding_mask
+from .packed import PackedCodes
 
 __all__ = [
     "CodeDatabase",
     "GroundTruth",
     "EvalReport",
-    "hamming_distance",
     "hamming_distances",
     "rank",
     "evaluate",
@@ -106,18 +105,6 @@ class EvalReport:
             v = getattr(self, name)
             if not (np.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray, m: int) -> int:
-    """Popcount of XOR over the m used bits of two packed words vectors."""
-    a = np.asarray(a, dtype=np.uint64).reshape(-1)
-    b = np.asarray(b, dtype=np.uint64).reshape(-1)
-    w = words_per_code(m)
-    if a.shape != b.shape or a.shape != (w,):
-        raise ValueError(f"code length mismatch: {a.shape} vs {b.shape}, expected ({w},) for m={m}")
-    x = a ^ b
-    x[-1] &= _padding_mask(m)
-    return int(np.bitwise_count(x).sum(dtype=np.int64))
 
 
 def hamming_distances(db: CodeDatabase, query_words: np.ndarray) -> np.ndarray:

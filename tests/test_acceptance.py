@@ -14,11 +14,10 @@ from tshash.codegen import (
     BqpInstance,
     CodeMatrix,
     TrainConfig,
-    assemble_bqp,
     box_relax,
     learn_codes,
-    round_and_select,
     spectral_relax,
+    update_bit,
 )
 from tshash.data import (
     KernelConfig,
@@ -29,7 +28,7 @@ from tshash.data import (
     supervision_from_labels,
 )
 from tshash.hashfn import ClassifierConfig, encode, train_model
-from tshash.loss import LOSS_TAGS, BitContext, LossKind, quadratic_coeff
+from tshash.loss import LOSS_TAGS, LossKind, quadratic_coeffs
 from tshash.packed import pack_signs
 from tshash.retrieval import CodeDatabase, GroundTruth, evaluate, rank
 from tshash import cli
@@ -79,7 +78,7 @@ def test_criterion_1_reduction_equivalence(capsys):
             m = int(rng.integers(1, 65))
             sbar = int(rng.integers(0, m)) * 2 - (m - 1)
             y = float(rng.choice([-1.0, 1.0]))
-            a, c = quadratic_coeff(LossKind(tag, m), BitContext(k=0, sbar=sbar, y=y))
+            a, c = quadratic_coeffs(LossKind(tag, m), sbar, y)
             for z1, z2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 direct = oracle.direct_pair_loss(tag, m, sbar + z1 * z2, y)
                 worst = max(worst, abs(a * z1 * z2 + c - direct))
@@ -123,11 +122,13 @@ def test_criterion_3_small_instance_oracle(capsys):
         tag = LOSS_TAGS[trial % len(LOSS_TAGS)]
         kind = LossKind(tag, 1)
         codes = CodeMatrix(rng.choice([-1, 1], size=(n, 1)).astype(np.int8))
-        bqp = assemble_bqp(sup, codes, 0, kind)
+        bqp = BqpInstance(n, sup.i, sup.j)
+        a, _ = quadratic_coeffs(kind, np.zeros(len(sup)), sup.y)  # m = 1: sbar = 0
+        incumbent = codes.bits[:, 0]
+        selected, _ = update_bit(bqp, a, incumbent, seed=trial)
+        # the candidates update_bit rounded, recomputed from the same inputs
         v0 = spectral_relax(bqp, seed=trial)
         v1 = box_relax(bqp, v0)
-        incumbent = codes.bits[:, 0]
-        selected = round_and_select(bqp, [v0, v1], incumbent)
         sel_obj = bqp.quad(selected)
         # hard domination asserts
         assert sel_obj <= bqp.quad(np.where(v0 >= 0, 1, -1)) + 0.0

@@ -7,15 +7,14 @@ from tshash.codegen import (
     BqpInstance,
     CodeMatrix,
     TrainConfig,
-    assemble_bqp,
     box_relax,
     learn_codes,
     pairwise_objective,
-    round_and_select,
     spectral_relax,
+    update_bit,
 )
 from tshash.data import PairSupervision
-from tshash.loss import LOSS_TAGS, LossKind
+from tshash.loss import LOSS_TAGS, LossKind, quadratic_coeffs
 
 import oracle
 
@@ -25,6 +24,24 @@ def random_bqp(rng, n, scale=1.0):
     a = (a + a.T) / 2.0
     np.fill_diagonal(a, 0.0)
     return BqpInstance.from_dense(a)
+
+
+def random_pair_bqp(rng, n):
+    """Instance on all n(n-1)/2 pairs with its random pair coefficients."""
+    i, j = np.triu_indices(n, 1)
+    return BqpInstance(n, i, j), rng.normal(size=i.size)
+
+
+def bit_coefficients(sup, codes, k, kind):
+    """Pair coefficients a for updating bit k, computed as learn_codes does."""
+    s = np.sum(codes.bits[sup.i].astype(np.int64) * codes.bits[sup.j], axis=1)
+    sbar = s - codes.bits[sup.i, k].astype(np.int64) * codes.bits[sup.j, k]
+    a, _ = quadratic_coeffs(kind, sbar, sup.y)
+    return a
+
+
+def rounded(v):
+    return np.where(v >= 0, 1, -1)
 
 
 def random_supervision(rng, n, pairs):
@@ -74,36 +91,46 @@ class TestBqpInstance:
 
 class TestAssemble:
     def test_empty_supervision_gives_zero_matrix(self):
-        sup = PairSupervision(3)
-        codes = CodeMatrix(np.ones((3, 2), dtype=np.int8))
-        bqp = assemble_bqp(sup, codes, 0, LossKind("ksh", 2))
+        empty = np.empty(0, dtype=np.int64)
+        bqp = BqpInstance(3, empty, empty)
+        incumbent = np.array([1, -1, 1], dtype=np.int8)
+        col, delta = update_bit(bqp, np.empty(0), incumbent)
         assert bqp.matrix.nnz == 0
+        assert col.tolist() == [1, -1, 1] and delta == 0.0
 
     def test_single_pair_worked_example(self):
         sup = PairSupervision.from_entries(2, [(0, 1, 1.0)])
         codes = CodeMatrix(np.ones((2, 1), dtype=np.int8))
-        bqp = assemble_bqp(sup, codes, 0, LossKind("ksh", 1))
+        bqp = BqpInstance(sup.n, sup.i, sup.j)
+        bqp.set_coefficients(bit_coefficients(sup, codes, 0, LossKind("ksh", 1)))
         dense = bqp.dense()
         assert dense[0, 1] == -2.0 and dense[1, 0] == -2.0
-
-    def test_bit_index_out_of_range(self):
-        sup = PairSupervision.from_entries(2, [(0, 1, 1.0)])
-        codes = CodeMatrix(np.ones((2, 2), dtype=np.int8))
-        with pytest.raises(ValueError):
-            assemble_bqp(sup, codes, 2, LossKind("ksh", 2))
 
     def test_symmetry_on_random_supervision(self):
         rng = np.random.default_rng(3)
         sup = random_supervision(rng, 12, 20)
         codes = CodeMatrix(rng.choice([-1, 1], size=(12, 4)).astype(np.int8))
-        bqp = assemble_bqp(sup, codes, 1, LossKind("ee", 4))
+        bqp = BqpInstance(sup.n, sup.i, sup.j)
+        bqp.set_coefficients(bit_coefficients(sup, codes, 1, LossKind("ee", 4)))
         dense = bqp.dense()
         assert np.array_equal(dense, dense.T)
+        assert not np.diagonal(dense).any()
+
+    def test_coefficients_rewritten_in_place(self):
+        # One structure serves every bit: each scatter replaces all values.
+        rng = np.random.default_rng(4)
+        bqp, a = random_pair_bqp(rng, 6)
+        bqp.set_coefficients(rng.normal(size=a.size))
+        bqp.set_coefficients(a)
+        dense = bqp.dense()
+        i, j = np.triu_indices(6, 1)
+        assert np.array_equal(dense[i, j], a) and np.array_equal(dense, dense.T)
 
     @pytest.mark.parametrize("tag", LOSS_TAGS)
     def test_quadratic_form_fidelity(self, tag):
         # z_k' A z_k plus the per-pair constants must equal the doubled sum
-        # of restricted pair losses, for any column and any loss.
+        # of restricted pair losses, for any column and any loss; and the
+        # change update_bit reports must equal the change in that sum.
         rng = np.random.default_rng(17)
         for _ in range(15):
             n, m = 10, 5
@@ -111,16 +138,24 @@ class TestAssemble:
             sup = random_supervision(rng, n, 18)
             codes = CodeMatrix(rng.choice([-1, 1], size=(n, m)).astype(np.int8))
             k = int(rng.integers(m))
-            bqp = assemble_bqp(sup, codes, k, kind)
+            bqp = BqpInstance(sup.n, sup.i, sup.j)
+            a = bit_coefficients(sup, codes, k, kind)
+            bqp.set_coefficients(a)
 
             const = 0.0
-            for a, b, y in zip(sup.i, sup.j, sup.y):
-                sbar = int(codes.bits[a] @ codes.bits[b]) - int(codes.bits[a, k]) * int(codes.bits[b, k])
+            for p, q, y in zip(sup.i, sup.j, sup.y):
+                sbar = int(codes.bits[p] @ codes.bits[q]) - int(codes.bits[p, k]) * int(codes.bits[q, k])
                 hi = oracle.direct_pair_loss(tag, m, sbar + 1, float(y))
                 lo = oracle.direct_pair_loss(tag, m, sbar - 1, float(y))
                 const += hi + lo  # ordered-pair sum of c = (hi + lo) / 2
             direct = oracle.total_objective(tag, m, codes.bits, zip(sup.i, sup.j, sup.y))
             assert bqp.quad(codes.bits[:, k]) + const == pytest.approx(direct, abs=1e-8)
+
+            col, delta = update_bit(bqp, a, codes.bits[:, k], seed=k)
+            bits = codes.bits.copy()
+            bits[:, k] = col
+            after = oracle.total_objective(tag, m, bits, zip(sup.i, sup.j, sup.y))
+            assert delta == pytest.approx(after - direct, abs=1e-8)
 
 
 class TestSpectralRelax:
@@ -200,38 +235,41 @@ class TestBoxRelax:
 
 class TestRoundAndSelect:
     def test_sign_rounding_with_zero_positive(self):
-        bqp = BqpInstance.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        out = round_and_select(bqp, [np.array([0.0, -1.0])], np.array([1, 1]))
-        assert out.tolist() == [1, -1]  # rounded candidate wins, sign(0) = +1
+        # Point 2 is in no pair, so both relaxed solutions hold an exact 0
+        # there; it rounds to +1.
+        bqp = BqpInstance(3, np.array([0]), np.array([1]))
+        a = np.array([-1.0])
+        bqp.set_coefficients(a)
+        assert spectral_relax(bqp)[2] == 0.0
+        col, delta = update_bit(bqp, a, np.array([1, -1, -1]))
+        assert col.tolist() == [1, 1, 1] and delta == -4.0
 
     def test_incumbent_wins_ties(self):
-        bqp = BqpInstance.from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        bqp = BqpInstance(2, np.array([0]), np.array([1]))
         incumbent = np.array([-1, -1], dtype=np.int8)
-        out = round_and_select(bqp, [np.array([0.9, 0.9])], incumbent)
-        assert out.tolist() == [-1, -1]  # candidate (1,1) only ties
+        col, delta = update_bit(bqp, np.array([-1.0]), incumbent)
+        assert rounded(spectral_relax(bqp)).tolist() == [1, 1]  # only ties
+        assert col.tolist() == [-1, -1] and delta == 0.0
 
     def test_incumbent_kept_when_optimal(self):
-        bqp = BqpInstance.from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-        out = round_and_select(bqp, [np.array([0.5, -0.5])], np.array([1, 1]))
-        assert out.tolist() == [1, 1]
+        bqp = BqpInstance(2, np.array([0]), np.array([1]))
+        col, delta = update_bit(bqp, np.array([-1.0]), np.array([1, 1]))
+        assert col.tolist() == [1, 1] and delta == 0.0
 
     def test_selected_dominates_all_candidates(self):
         rng = np.random.default_rng(19)
-        for _ in range(50):
+        for trial in range(50):
             n = int(rng.integers(2, 10))
-            bqp = random_bqp(rng, n)
-            cands = [rng.normal(size=n) for _ in range(3)]
+            bqp, a = random_pair_bqp(rng, n)
             incumbent = rng.choice([-1, 1], size=n).astype(np.int8)
-            out = round_and_select(bqp, cands, incumbent)
+            out, delta = update_bit(bqp, a, incumbent, seed=trial)
+            v0 = spectral_relax(bqp, seed=trial)
+            v1 = box_relax(bqp, v0)
             out_val = bqp.quad(out)
             assert out_val <= bqp.quad(incumbent)
-            for cand in cands:
-                assert out_val <= bqp.quad(np.where(cand >= 0, 1, -1))
-
-    def test_rejects_empty_candidates(self):
-        bqp = BqpInstance.from_dense(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            round_and_select(bqp, [], np.array([1, 1]))
+            assert out_val <= bqp.quad(rounded(v0))
+            assert out_val <= bqp.quad(rounded(v1))
+            assert delta == out_val - bqp.quad(incumbent)
 
 
 class TestLearnCodes:
@@ -271,13 +309,16 @@ class TestLearnCodes:
             objs = [e.objective for e in trace]
             assert all(b <= a for a, b in zip(objs, objs[1:])), tag
 
-    def test_trace_tail_matches_direct_objective(self):
+    @pytest.mark.parametrize("tag", LOSS_TAGS)
+    def test_trace_tail_matches_direct_objective(self, tag):
+        # The trace accumulates per-bit changes; after two sweeps it must
+        # still equal the objective evaluated from scratch.
         rng = np.random.default_rng(31)
         sup = random_supervision(rng, 20, 40)
-        kind = LossKind("splh", 6)
-        cfg = TrainConfig(m=6, loss=kind, seed=5)
+        kind = LossKind(tag, 6)
+        cfg = TrainConfig(m=6, loss=kind, sweeps=2, seed=5)
         codes, trace = learn_codes(sup, cfg)
-        direct = oracle.total_objective("splh", 6, codes.bits, zip(sup.i, sup.j, sup.y))
+        direct = oracle.total_objective(tag, 6, codes.bits, zip(sup.i, sup.j, sup.y))
         assert trace[-1].objective == pytest.approx(direct, rel=1e-12)
         assert pairwise_objective(sup, codes, kind) == pytest.approx(direct, rel=1e-12)
 

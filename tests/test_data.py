@@ -9,7 +9,6 @@ from tshash.data import (
     KernelConfig,
     PairSupervision,
     generate_clusters,
-    kernel_features,
     kernel_matrix,
     load_dataset,
     load_supervision,
@@ -21,6 +20,12 @@ from tshash.data import (
 )
 
 EXP_NEG_ONE = 0.36787944117144233
+
+
+def pair_values(sup):
+    """Stored pairs as {(i, j): y}."""
+    i, j, y = sup.arrays()
+    return dict(zip(zip(i.tolist(), j.tolist()), y.tolist()))
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -105,11 +110,9 @@ class TestGenerateClusters:
 
 
 class TestPairSupervision:
-    def test_lookup_is_symmetric(self):
+    def test_entries_stored_canonically(self):
         sup = PairSupervision.from_entries(4, [(2, 0, 1.0), (1, 3, -1.0)])
-        assert sup.lookup(0, 2) == sup.lookup(2, 0) == 1.0
-        assert sup.lookup(3, 1) == -1.0
-        assert sup.lookup(0, 1) is None
+        assert pair_values(sup) == {(0, 2): 1.0, (1, 3): -1.0}
 
     def test_rejects_self_pair(self):
         with pytest.raises(DataFormatError):
@@ -143,7 +146,7 @@ class TestSupervisionFromLabels:
     def test_two_points_same_class(self):
         ds = Dataset(np.zeros((2, 1)), labels=np.array([5, 5]))
         sup = supervision_from_labels(ds, 1, seed=0)
-        assert len(sup) == 1 and sup.lookup(0, 1) == 1.0
+        assert pair_values(sup) == {(0, 1): 1.0}
 
     def test_single_point_gives_empty_supervision(self):
         ds = Dataset(np.zeros((1, 1)), labels=np.array([0]))
@@ -177,15 +180,13 @@ class TestSupervisionFromDistance:
     def test_line_example(self):
         ds = Dataset(np.array([[0.0], [1.0], [10.0]]))
         sup = supervision_from_distance(ds, 50.0, 2, seed=0)
-        assert sup.lookup(0, 1) == 1.0
-        assert sup.lookup(0, 2) == -1.0
         # cutoff for point 2 is 9 (its nearest other point); ties label +1
-        assert sup.lookup(1, 2) == 1.0
+        assert pair_values(sup) == {(0, 1): 1.0, (0, 2): -1.0, (1, 2): 1.0}
 
     def test_two_points_always_similar(self):
         ds = Dataset(np.array([[0.0], [100.0]]))
         sup = supervision_from_distance(ds, 1.0, 1, seed=0)
-        assert sup.lookup(0, 1) == 1.0
+        assert pair_values(sup) == {(0, 1): 1.0}
 
     def test_identical_points_all_similar(self):
         ds = Dataset(np.zeros((5, 2)))
@@ -245,19 +246,19 @@ class TestKernelFeatures:
 
     def test_anchor_response_is_one(self):
         cfg = self.cfg([[1.0, 2.0], [5.0, 5.0]], 2.0)
-        feats = kernel_features(np.array([1.0, 2.0]), cfg)
+        feats = kernel_matrix(np.array([[1.0, 2.0]]), cfg)[0]
         assert feats[0] == 1.0
 
     def test_pinned_decay_value(self):
         # distance sigma*sqrt(2) gives exp(-1)
         sigma = 1.0
         cfg = self.cfg([[math.sqrt(2.0)]], sigma)
-        got = kernel_features(np.array([0.0]), cfg)[0]
+        got = kernel_matrix(np.array([[0.0]]), cfg)[0, 0]
         assert got == pytest.approx(EXP_NEG_ONE, abs=1e-12)
 
     def test_far_point_decays_toward_zero(self):
         cfg = self.cfg([[0.0]], 0.5)
-        assert kernel_features(np.array([50.0]), cfg)[0] < 1e-300 * 1e10
+        assert kernel_matrix(np.array([[50.0]]), cfg)[0, 0] < 1e-300 * 1e10
 
     def test_range(self):
         rng = np.random.default_rng(4)
@@ -268,7 +269,7 @@ class TestKernelFeatures:
     def test_dimension_mismatch_rejected(self):
         cfg = self.cfg([[0.0, 1.0]], 1.0)
         with pytest.raises(ValueError):
-            kernel_features(np.array([1.0]), cfg)
+            kernel_matrix(np.array([[1.0]]), cfg)
 
     def test_sample_anchors_rows_come_from_dataset(self):
         rng = np.random.default_rng(6)

@@ -40,7 +40,7 @@ class TestTrainBitClassifier:
         acc = np.mean(fn.apply(XOR_POINTS) == XOR_COLUMN)
         assert acc < 1.0
 
-    def test_xor_kernel_features_separable(self):
+    def test_xor_separable_in_kernel_space(self):
         kcfg = KernelConfig(XOR_POINTS.copy(), 0.5)
         feats = kernel_matrix(XOR_POINTS, kcfg)
         fn = train_bit_classifier(feats, XOR_COLUMN, ClassifierConfig(seed=1))

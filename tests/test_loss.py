@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tshash.loss import LOSS_TAGS, BitContext, LossKind, pair_loss, quadratic_coeff, quadratic_coeffs
+from tshash.loss import LOSS_TAGS, LossKind, pair_loss, quadratic_coeffs
 
 import oracle
 
@@ -113,26 +113,24 @@ class TestPairLoss:
 class TestQuadraticCoeff:
     def test_ksh_worked_example(self):
         kind = LossKind("ksh", 1)
-        a, c = quadratic_coeff(kind, BitContext(k=0, sbar=0, y=1.0))
+        a, c = quadratic_coeffs(kind, 0, 1.0)
         assert (a, c) == (-2.0, 2.0)
         assert a * (1 * 1) + c == 0.0
         assert a * (-1 * 1) + c == 4.0
 
     def test_splh_pinned_coefficient(self):
         kind = LossKind("splh", 2)
-        a, c = quadratic_coeff(kind, BitContext(k=1, sbar=1, y=1.0))
+        a, c = quadratic_coeffs(kind, 1, 1.0)
         assert abs(a - SPLH_COEFF) < 1e-12
 
     def test_indifferent_bit_gives_zero_coefficient(self):
         # KSH with y=0 is s^2, symmetric around sbar when sbar=0
         kind = LossKind("ksh", 3)
-        a, _ = quadratic_coeff(kind, BitContext(k=0, sbar=0, y=0.0))
+        a, _ = quadratic_coeffs(kind, 0, 0.0)
         assert a == 0.0
 
     def test_rejects_bad_context(self):
         kind = LossKind("ksh", 4)
-        with pytest.raises(ValueError):
-            quadratic_coeff(kind, BitContext(k=9, sbar=1, y=1.0))
         with pytest.raises(ValueError):
             quadratic_coeffs(kind, np.array([4]), np.array([1.0]))  # |sbar| > m-1
         with pytest.raises(ValueError):
@@ -146,7 +144,7 @@ class TestQuadraticCoeff:
             sbar = int(rng.integers(0, m)) * 2 - (m - 1)
             y = float(rng.choice([-1.0, 1.0]))
             kind = LossKind(tag, m)
-            a, c = quadratic_coeff(kind, BitContext(k=0, sbar=sbar, y=y))
+            a, c = quadratic_coeffs(kind, sbar, y)
             for z1 in (-1, 1):
                 for z2 in (-1, 1):
                     direct = pair_loss(kind, sbar + z1 * z2, y)
@@ -159,5 +157,5 @@ class TestQuadraticCoeff:
         y = rng.choice([-1.0, 1.0], size=50)
         a_vec, c_vec = quadratic_coeffs(kind, sbar, y)
         for idx in range(50):
-            a, c = quadratic_coeff(kind, BitContext(k=0, sbar=int(sbar[idx]), y=float(y[idx])))
+            a, c = quadratic_coeffs(kind, int(sbar[idx]), float(y[idx]))
             assert a_vec[idx] == a and c_vec[idx] == c

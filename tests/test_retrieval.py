@@ -6,7 +6,6 @@ from tshash.retrieval import (
     CodeDatabase,
     GroundTruth,
     evaluate,
-    hamming_distance,
     hamming_distances,
     load_ground_truth,
     load_report_json,
@@ -34,15 +33,20 @@ def random_instance(rng, n_db, n_q, m):
     return packed_from_signs(db_signs), packed_from_signs(q_signs), GroundTruth(sets)
 
 
+def one_row_distance(a, b):
+    """Distance between the codes of two one-row PackedCodes."""
+    return int(hamming_distances(CodeDatabase(b), a.words[0])[0])
+
+
 class TestHammingDistance:
     def test_one_bit_differs(self):
         a = packed_from_signs([[1, 1, -1]])
         b = packed_from_signs([[1, -1, -1]])
-        assert hamming_distance(a.words[0], b.words[0], 3) == 1
+        assert one_row_distance(a, b) == 1
 
     def test_identity(self):
         a = packed_from_signs([[1, -1, 1, 1]])
-        assert hamming_distance(a.words[0], a.words[0], 4) == 0
+        assert one_row_distance(a, a) == 0
 
     def test_word_boundary_matches_naive(self):
         rng = np.random.default_rng(0)
@@ -52,13 +56,13 @@ class TestHammingDistance:
             sb = rng.choice([-1, 1], size=(1, m))
             pa, pb = packed_from_signs(sa), packed_from_signs(sb)
             want = oracle.naive_hamming(pa.bits01()[0], pb.bits01()[0])
-            assert hamming_distance(pa.words[0], pb.words[0], m) == want
+            assert one_row_distance(pa, pb) == want
 
     def test_length_mismatch_rejected(self):
         a = packed_from_signs([[1] * 70])
         b = packed_from_signs([[1] * 30])
-        with pytest.raises(ValueError):
-            hamming_distance(a.words[0], b.words[0], 70)
+        with pytest.raises(ValueError, match="word count"):
+            one_row_distance(a, b)
 
 
 class TestRank:
