@@ -130,7 +130,7 @@ def cmd_train(args) -> int:
     with _stage("codes"):
         kind = LossKind(args.loss, args.bits)
         cfg = codegen.TrainConfig(
-            m=args.bits, loss=kind, sweeps=args.sweeps, seed=derive_seed(args.seed, ROLE_CODES)
+            loss=kind, sweeps=args.sweeps, seed=derive_seed(args.seed, ROLE_CODES)
         )
         codes, trace = codegen.learn_codes(sup, cfg)
 

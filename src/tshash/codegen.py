@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .data import PairSupervision
 from .loss import LossKind, pair_loss, quadratic_coeffs
@@ -33,10 +34,6 @@ __all__ = [
     "learn_codes",
     "pairwise_objective",
 ]
-
-# Dense eigendecomposition is cheap and exact below this size; larger
-# instances fall back to shifted power iteration on the sparse matrix.
-_DENSE_EIG_CUTOFF = 600
 
 # Projected-gradient limits of the box relaxation.
 _BOX_MAX_ITERS = 200
@@ -134,18 +131,18 @@ class TraceEntry(NamedTuple):
 class TrainConfig:
     """Settings for code inference."""
 
-    m: int
     loss: LossKind
     sweeps: int = 1
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.loss.m != self.m:
-            raise ValueError(f"loss is configured for m={self.loss.m}, expected {self.m}")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
+
+    @property
+    def m(self) -> int:
+        """Code length, fixed by the loss."""
+        return self.loss.m
 
 
 def _pair_products(bits: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -165,67 +162,34 @@ def pairwise_objective(sup: PairSupervision, codes: CodeMatrix, kind: LossKind) 
     return _total_loss(kind, _pair_products(codes.bits, i, j), y)
 
 
-def spectral_relax(
-    bqp: BqpInstance,
-    *,
-    tol: float = 1e-8,
-    max_iters: int = 5000,
-    seed: int = 0,
-    method: str = "auto",
-) -> np.ndarray:
+def spectral_relax(bqp: BqpInstance, *, seed: int = 0) -> np.ndarray:
     """Minimizer of z.T A z over the sphere ||z||^2 = n.
 
-    The solution is the minimum-eigenvalue eigenvector scaled to squared
-    norm n. Small instances use a full symmetric eigendecomposition; large
-    ones run shifted power iteration, which needs only matrix-vector
-    products. If power iteration fails to converge within max_iters, a
-    seeded random vector of the right norm is returned instead (with a
-    warning); the caller's rounding guard makes this safe.
+    The solution is the minimum-eigenvalue eigenvector of A, found by
+    Lanczos iteration (ARPACK) on the sparse matrix from a start vector
+    drawn from seed, signed so that its largest-magnitude entry is positive
+    and scaled to squared norm n. If ARPACK does not converge, a
+    RuntimeWarning saying so is emitted (tracing counts these) and the
+    seeded random vector of the right norm is returned instead; the
+    caller's rounding guard makes this safe.
     """
     n = bqp.n
-    if method not in ("auto", "dense", "power"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if n <= _DENSE_EIG_CUTOFF else "power"
-
-    radius = bqp.gershgorin_bound()
-    if radius == 0.0:
+    if bqp.gershgorin_bound() == 0.0:
         return np.ones(n)
 
-    if method == "dense":
-        eigvals, eigvecs = np.linalg.eigh(bqp.dense())
-        v = eigvecs[:, 0]
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        return v * np.sqrt(n)
-
-    # Shifted power iteration: the dominant eigenvector of (radius*I - A)
-    # is the minimum-eigenvalue eigenvector of A.
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    mat = bqp.matrix
-    for _ in range(max_iters):
-        bx = radius * x - mat @ x
-        nb = np.linalg.norm(bx)
-        if nb == 0.0:
-            x = rng.standard_normal(n)
-            x /= np.linalg.norm(x)
-            continue
-        x = bx / nb
-        ax = mat @ x
-        lam = float(x @ ax)
-        if np.linalg.norm(ax - lam * x) <= tol * max(1.0, abs(lam)):
-            if x[np.argmax(np.abs(x))] < 0:
-                x = -x
-            return x * np.sqrt(n)
-    warnings.warn(
-        f"power iteration did not converge in {max_iters} iterations; "
-        "falling back to a random start vector",
-        RuntimeWarning,
-    )
-    fallback = np.random.default_rng(seed).standard_normal(n)
-    return fallback * (np.sqrt(n) / np.linalg.norm(fallback))
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        _, vecs = eigsh(bqp.matrix, k=1, which="SA", v0=v0)
+    except ArpackNoConvergence:
+        warnings.warn(
+            "Lanczos did not converge; falling back to a random start vector",
+            RuntimeWarning,
+        )
+        return v0 * (np.sqrt(n) / np.linalg.norm(v0))
+    v = vecs[:, 0]
+    if v[np.argmax(np.abs(v))] < 0:
+        v = -v
+    return v * (np.sqrt(n) / np.linalg.norm(v))
 
 
 def box_relax(

@@ -166,6 +166,8 @@ class PairSupervision:
         self.y = np.ascontiguousarray(self.y, dtype=np.float64)
         if not (self.i.shape == self.j.shape == self.y.shape):
             raise DataFormatError("supervision arrays must have equal length")
+        if not np.isfinite(self.y).all():
+            raise DataFormatError("affinities must be finite")
         if self.i.size:
             if self.i.min() < 0 or self.j.max() >= self.n:
                 raise DataFormatError("pair index out of range")

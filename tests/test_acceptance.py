@@ -98,7 +98,7 @@ def test_criterion_2_bcd_monotonicity(capsys):
         for trial in range(20):
             rng = np.random.default_rng(7000 + trial)
             sup = random_supervision(rng, 50, 120)
-            cfg = TrainConfig(m=8, loss=LossKind(tag, 8), sweeps=1, seed=trial)
+            cfg = TrainConfig(loss=LossKind(tag, 8), sweeps=1, seed=trial)
             _, trace = learn_codes(sup, cfg)
             objs = [entry.objective for entry in trace]
             violations += sum(1 for a, b in zip(objs, objs[1:]) if b > a)
@@ -151,7 +151,7 @@ def test_criterion_3_small_instance_oracle(capsys):
 def three_cluster_codes(seed=0):
     ds = generate_clusters(300, 3, 2, 0.1, seed)
     sup = supervision_from_labels(ds, ds.n - 1, seed=seed + 1)
-    cfg = TrainConfig(m=16, loss=LossKind("bre", 16), sweeps=1, seed=seed + 2)
+    cfg = TrainConfig(loss=LossKind("bre", 16), sweeps=1, seed=seed + 2)
     codes, _ = learn_codes(sup, cfg)
     return ds, codes
 

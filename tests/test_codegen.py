@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from tshash import codegen
 from tshash.codegen import (
     BqpInstance,
     CodeMatrix,
@@ -13,7 +15,12 @@ from tshash.codegen import (
     spectral_relax,
     update_bit,
 )
-from tshash.data import PairSupervision
+from tshash.data import (
+    PairSupervision,
+    generate_clusters,
+    supervision_from_distance,
+    supervision_from_labels,
+)
 from tshash.loss import LOSS_TAGS, LossKind, quadratic_coeffs
 
 import oracle
@@ -182,20 +189,40 @@ class TestSpectralRelax:
             u *= np.sqrt(10.0) / np.linalg.norm(u)
             assert base <= bqp.quad(u) + 1e-9
 
-    def test_power_matches_dense(self):
-        rng = np.random.default_rng(7)
-        for trial in range(5):
-            bqp = random_bqp(rng, 40)
-            vd = spectral_relax(bqp, method="dense")
-            vp = spectral_relax(bqp, method="power", seed=trial)
-            assert bqp.quad(vp) == pytest.approx(bqp.quad(vd), rel=1e-5, abs=1e-8)
+    @pytest.mark.parametrize("n", [700, 1000])
+    @pytest.mark.parametrize("supervision", ["labels", "distance"])
+    @pytest.mark.parametrize("tag", ["ksh", "exph"])
+    def test_matches_dense_minimum_eigenvalue(self, n, supervision, tag):
+        # Real per-bit instances whose spectral gap is small next to the
+        # spectral radius: the Rayleigh quotient of the returned vector must
+        # still be the smallest eigenvalue.
+        ds = generate_clusters(n, 10, 3, 0.3, seed=n)
+        if supervision == "labels":
+            sup = supervision_from_labels(ds, 20, seed=3)
+        else:
+            sup = supervision_from_distance(ds, 5.0, 20, seed=3)
+        m = 8
+        rng = np.random.default_rng(n + 1)
+        codes = CodeMatrix(rng.choice([-1, 1], size=(n, m)))
+        bqp = BqpInstance(n, sup.i, sup.j)
+        bqp.set_coefficients(bit_coefficients(sup, codes, 3, LossKind(tag, m)))
+        v = spectral_relax(bqp, seed=2)
+        assert np.sum(v**2) == pytest.approx(float(n), rel=1e-12)
+        want = np.linalg.eigvalsh(bqp.dense())[0]
+        assert bqp.quad(v) / n == pytest.approx(want, rel=1e-8)
 
-    def test_nonconvergence_warns_and_falls_back(self):
+    def test_nonconvergence_warns_and_falls_back(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((30, 0)))
+
+        monkeypatch.setattr(codegen, "eigsh", no_convergence)
         rng = np.random.default_rng(9)
         bqp = random_bqp(rng, 30)
         with pytest.warns(RuntimeWarning, match="did not converge"):
-            v = spectral_relax(bqp, method="power", max_iters=1, seed=0)
+            v = spectral_relax(bqp, seed=0)
         assert np.sum(v**2) == pytest.approx(30.0, rel=1e-12)
+        start = np.random.default_rng(0).standard_normal(30)
+        assert np.allclose(v, start * (np.sqrt(30.0) / np.linalg.norm(start)), rtol=1e-12)
 
     def test_norm_constraint(self):
         rng = np.random.default_rng(11)
@@ -275,7 +302,7 @@ class TestRoundAndSelect:
 class TestLearnCodes:
     def test_single_similar_pair_agrees(self):
         sup = PairSupervision.from_entries(2, [(0, 1, 1.0)])
-        cfg = TrainConfig(m=1, loss=LossKind("ksh", 1), seed=3)
+        cfg = TrainConfig(loss=LossKind("ksh", 1), seed=3)
         codes, trace = learn_codes(sup, cfg)
         assert codes.bits[0, 0] == codes.bits[1, 0]
         assert trace[-1].objective == 0.0
@@ -283,7 +310,7 @@ class TestLearnCodes:
     def test_three_point_exhaustive_optimum(self):
         sup = PairSupervision.from_entries(3, [(0, 1, 1.0), (0, 2, -1.0), (1, 2, -1.0)])
         kind = LossKind("bre", 2)
-        cfg = TrainConfig(m=2, loss=kind, seed=1)
+        cfg = TrainConfig(loss=kind, seed=1)
         codes, trace = learn_codes(sup, cfg)
         pairs = [(0, 1, 1.0), (0, 2, -1.0), (1, 2, -1.0)]
         best = min(
@@ -293,7 +320,7 @@ class TestLearnCodes:
         assert trace[-1].objective == pytest.approx(best, abs=1e-12)
 
     def test_empty_supervision_trace_is_zero(self):
-        cfg = TrainConfig(m=3, loss=LossKind("ksh", 3), sweeps=2, seed=7)
+        cfg = TrainConfig(loss=LossKind("ksh", 3), sweeps=2, seed=7)
         codes, trace = learn_codes(PairSupervision(5), cfg)
         assert codes.bits.shape == (5, 3)
         assert len(trace) == 6 and all(e.objective == 0.0 for e in trace)
@@ -304,7 +331,7 @@ class TestLearnCodes:
         for trial in range(3):
             n = 30
             sup = random_supervision(rng, n, 60)
-            cfg = TrainConfig(m=8, loss=LossKind(tag, 8), sweeps=2, seed=trial)
+            cfg = TrainConfig(loss=LossKind(tag, 8), sweeps=2, seed=trial)
             _, trace = learn_codes(sup, cfg)
             objs = [e.objective for e in trace]
             assert all(b <= a for a, b in zip(objs, objs[1:])), tag
@@ -316,7 +343,7 @@ class TestLearnCodes:
         rng = np.random.default_rng(31)
         sup = random_supervision(rng, 20, 40)
         kind = LossKind(tag, 6)
-        cfg = TrainConfig(m=6, loss=kind, sweeps=2, seed=5)
+        cfg = TrainConfig(loss=kind, sweeps=2, seed=5)
         codes, trace = learn_codes(sup, cfg)
         direct = oracle.total_objective(tag, 6, codes.bits, zip(sup.i, sup.j, sup.y))
         assert trace[-1].objective == pytest.approx(direct, rel=1e-12)
@@ -325,7 +352,7 @@ class TestLearnCodes:
     def test_deterministic(self):
         rng = np.random.default_rng(37)
         sup = random_supervision(rng, 25, 50)
-        cfg = TrainConfig(m=4, loss=LossKind("ee", 4), seed=23)
+        cfg = TrainConfig(loss=LossKind("ee", 4), seed=23)
         a, trace_a = learn_codes(sup, cfg)
         b, trace_b = learn_codes(sup, cfg)
         assert np.array_equal(a.bits, b.bits)
@@ -334,7 +361,7 @@ class TestLearnCodes:
     def test_trace_covers_every_bit_update(self):
         rng = np.random.default_rng(41)
         sup = random_supervision(rng, 12, 20)
-        cfg = TrainConfig(m=5, loss=LossKind("ksh", 5), sweeps=3, seed=0)
+        cfg = TrainConfig(loss=LossKind("ksh", 5), sweeps=3, seed=0)
         _, trace = learn_codes(sup, cfg)
         assert [(e.sweep, e.bit) for e in trace] == [
             (s, k) for s in range(3) for k in range(5)

@@ -135,6 +135,13 @@ class TestPairSupervision:
         assert np.array_equal(back.j, sup.j)
         assert np.array_equal(back.y, sup.y)
 
+    @pytest.mark.parametrize("row", ["0,1,nan", "1,2,inf", "0,2,-inf"])
+    def test_load_rejects_non_finite_affinity(self, tmp_path, row):
+        path = tmp_path / "sup.csv"
+        path.write_text(f"0,3,1.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="finite"):
+            load_supervision(path, 4)
+
 
 class TestSupervisionFromLabels:
     def test_full_pairing_three_points(self):
