@@ -64,6 +64,8 @@ def cmd_gen_data(args) -> int:
         raise UsageError("--clusters must be >= 2")
     if args.n < args.clusters:
         raise UsageError("--n must be >= --clusters")
+    if args.d < 1:
+        raise UsageError("--d must be >= 1")
     if args.spread < 0:
         raise UsageError("--spread must be >= 0")
     with _stage("data"):
@@ -114,6 +116,8 @@ def cmd_train(args) -> int:
         raise UsageError("--sweeps must be >= 1")
     if args.c is not None and not args.c > 0:
         raise UsageError("--c must be positive")
+    if args.epochs < 1:
+        raise UsageError("--epochs must be >= 1")
     if args.anchors < 1:
         raise UsageError("--anchors must be >= 1")
     if not args.bandwidth_t > 0:
@@ -213,7 +217,7 @@ def cmd_query(args) -> int:
         for qi in range(query_codes.n):
             order, dists = retrieval._ranked_order(db, query_codes.words[qi])
             for pos, row in enumerate(order[: args.k]):
-                out.write(f"{qi},{pos},{db.ids[row]},{dists[row]}\n")
+                out.write(f"{qi},{pos},{row},{dists[row]}\n")
     return 0
 
 

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .data import PairSupervision
 from .loss import LossKind, pair_loss, quadratic_coeffs
@@ -173,6 +172,9 @@ def spectral_relax(bqp: BqpInstance, *, seed: int = 0) -> np.ndarray:
     seeded random vector of the right norm is returned instead; the
     caller's rounding guard makes this safe.
     """
+    # Imported here so that commands which never train do not load ARPACK.
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     n = bqp.n
     if bqp.gershgorin_bound() == 0.0:
         return np.ones(n)

@@ -173,28 +173,35 @@ class PairSupervision:
                 raise DataFormatError("pair index out of range")
             if np.any(self.i >= self.j):
                 raise DataFormatError("pairs must be stored with i < j")
-            keys = self.i * self.n + self.j
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(self.i * self.n + self.j)
+            if np.any(keys[1:] == keys[:-1]):
                 raise DataFormatError("duplicate pair")
         for arr in (self.i, self.j, self.y):
             arr.flags.writeable = False
 
     @classmethod
     def from_entries(cls, n: int, entries) -> "PairSupervision":
-        """Build from (i, j, y) triples; orders each pair canonically and sorts."""
-        canon = {}
-        for a, b, v in entries:
-            if a == b:
-                raise DataFormatError(f"self-pair ({a},{a}) is not allowed")
-            key = (a, b) if a < b else (b, a)
-            if key in canon and canon[key] != v:
-                raise DataFormatError(f"conflicting values for pair {key}")
-            canon[key] = v
-        items = sorted(canon.items())
-        ii = np.array([k[0] for k, _ in items], dtype=np.int64)
-        jj = np.array([k[1] for k, _ in items], dtype=np.int64)
-        yy = np.array([v for _, v in items], dtype=np.float64)
-        return cls(n, ii, jj, yy)
+        """Build from (i, j, y) triples in any order; a repeated pair must repeat its value."""
+        table = np.array(list(entries) or np.empty((0, 3)), dtype=np.float64)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise DataFormatError("entries must be (i, j, y) triples")
+        a, b, y = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
+        if np.any(a == b):
+            raise DataFormatError(f"self-pair ({a[a == b][0]},{a[a == b][0]}) is not allowed")
+        # NaN != NaN, so a non-finite value would otherwise read as a conflict.
+        if not np.isfinite(y).all():
+            raise DataFormatError("affinities must be finite")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((hi, lo))
+        lo, hi, y = lo[order], hi[order], y[order]
+        repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        conflict = repeat & (y[1:] != y[:-1])
+        if conflict.any():
+            k = np.argmax(conflict)
+            raise DataFormatError(f"conflicting values for pair ({lo[k]}, {hi[k]})")
+        last = np.ones(lo.size, dtype=bool)
+        last[:-1] = ~repeat
+        return cls(n, lo[last], hi[last], y[last])
 
     def __len__(self) -> int:
         return self.i.size
@@ -203,37 +210,33 @@ class PairSupervision:
         return self.i, self.j, self.y
 
 
-def _sample_partners(n: int, pairs_per_point: int, seed: int) -> set[tuple[int, int]]:
-    """Per-point partner sampling without replacement; unordered pairs, deduped."""
+def _sample_partners(n: int, pairs_per_point: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point partner sampling without replacement; sorted unique (i, j) arrays, i < j."""
     if n == 1:
-        return set()
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if pairs_per_point < 1:
         raise ValueError("pairs_per_point must be >= 1")
     if pairs_per_point > n - 1:
         raise ValueError(f"pairs_per_point {pairs_per_point} exceeds n-1 = {n - 1}")
-    pairs: set[tuple[int, int]] = set()
     if pairs_per_point == n - 1:
-        for a in range(n):
-            for b in range(a + 1, n):
-                pairs.add((a, b))
-        return pairs
+        return np.triu_indices(n, k=1)
     rng = np.random.default_rng(seed)
-    for a in range(n):
-        others = rng.choice(n - 1, size=pairs_per_point, replace=False)
-        others = others + (others >= a)
-        for b in others:
-            pairs.add((a, int(b)) if a < b else (int(b), a))
-    return pairs
+    a = np.repeat(np.arange(n, dtype=np.int64), pairs_per_point)
+    b = np.concatenate([rng.choice(n - 1, size=pairs_per_point, replace=False) for _ in range(n)])
+    b += b >= a
+    # Sort and compare neighbours: np.unique (numpy 2.4) is far slower at this size.
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    return keys // n, keys % n
 
 
 def supervision_from_labels(ds: Dataset, pairs_per_point: int, seed: int) -> PairSupervision:
     """Affinity +1 for same-class pairs, -1 otherwise, on sampled partners."""
     if not ds.has_labels:
         raise ValueError("dataset has no labels")
-    pairs = _sample_partners(ds.n, pairs_per_point, seed)
-    labels = ds.labels
-    entries = [(a, b, 1.0 if labels[a] == labels[b] else -1.0) for a, b in pairs]
-    return PairSupervision.from_entries(ds.n, entries)
+    i, j = _sample_partners(ds.n, pairs_per_point, seed)
+    y = np.where(ds.labels[i] == ds.labels[j], 1.0, -1.0)
+    return PairSupervision(ds.n, i, j, y)
 
 
 def _quantile_index(percentile: float, count: int) -> int:
@@ -257,19 +260,16 @@ def supervision_from_distance(
         raise ValueError("percentile must lie in (0, 100)")
     if ds.n < 2:
         raise ValueError("need at least 2 points for distance supervision")
-    pairs = _sample_partners(ds.n, pairs_per_point, seed)
+    i, j = _sample_partners(ds.n, pairs_per_point, seed)
 
     dist = cdist(ds.features, ds.features)
-    masked = dist.copy()
-    np.fill_diagonal(masked, np.inf)
-    ordered = np.sort(masked, axis=1)[:, : ds.n - 1]
-    cutoff = ordered[:, _quantile_index(percentile, ds.n - 1)]
-
-    entries = []
-    for a, b in pairs:
-        near = dist[a, b] <= max(cutoff[a], cutoff[b])
-        entries.append((a, b, 1.0 if near else -1.0))
-    return PairSupervision.from_entries(ds.n, entries)
+    np.fill_diagonal(dist, np.inf)
+    pair_dist = dist[i, j]
+    kth = _quantile_index(percentile, ds.n - 1)
+    dist.partition(kth, axis=1)
+    cutoff = dist[:, kth]
+    y = np.where(pair_dist <= np.maximum(cutoff[i], cutoff[j]), 1.0, -1.0)
+    return PairSupervision(ds.n, i, j, y)
 
 
 def save_supervision(sup: PairSupervision, path) -> None:

@@ -75,9 +75,6 @@ class PackedCodes:
         """Unpack to an (n, m) int8 matrix of {-1, +1} codes."""
         return (self.bits01().astype(np.int8) * 2 - 1).astype(np.int8)
 
-    def row(self, idx: int) -> np.ndarray:
-        return self.words[idx]
-
 
 def pack_signs(signs: np.ndarray) -> PackedCodes:
     """Pack an (n, m) matrix of {-1, +1} (or 0/1) values, one word group per row."""

@@ -1,11 +1,11 @@
 """Hamming-space ranking over packed codes and retrieval quality metrics.
 
-Rankings sort by ascending Hamming distance with ties broken by ascending
-database id, which makes every downstream metric deterministic and
-invariant to database row order. Four metrics are reported: precision at
-K, mean average precision over the full ranking, area under the
-precision-recall curve sampled at the m+1 integer distance thresholds,
-and precision within a fixed Hamming radius.
+A database point's id is its row in the database codes. Rankings sort by
+ascending Hamming distance with ties broken by ascending id, which makes
+every downstream metric deterministic. Four metrics are reported:
+precision at K, mean average precision over the full ranking, area under
+the precision-recall curve sampled at the m+1 integer distance
+thresholds, and precision within a fixed Hamming radius.
 """
 
 from __future__ import annotations
@@ -40,20 +40,9 @@ DEFAULT_RADIUS = 2
 
 @dataclass
 class CodeDatabase:
-    """Packed codes for N database points plus their source row ids."""
+    """Packed codes for N database points; a point's id is its row."""
 
     codes: PackedCodes
-    ids: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.ids is None:
-            self.ids = np.arange(self.codes.n, dtype=np.int64)
-        self.ids = np.ascontiguousarray(self.ids, dtype=np.int64)
-        if self.ids.shape != (self.codes.n,):
-            raise ValueError(f"ids length {self.ids.shape} does not match N={self.codes.n}")
-        if len(np.unique(self.ids)) != self.codes.n:
-            raise ValueError("database ids must be unique")
-        self.ids.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -64,18 +53,28 @@ class CodeDatabase:
         return self.codes.m
 
 
+def _sorted_unique(ids) -> np.ndarray:
+    """Sorted int64 array of the distinct ids; np.unique (numpy 2.4) is far slower."""
+    ids = np.sort(np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64))
+    keep = np.ones(ids.size, dtype=bool)
+    keep[1:] = ids[1:] != ids[:-1]
+    return ids[keep]
+
+
 @dataclass
 class GroundTruth:
-    """Per-query sets of database ids counted as true neighbors.
+    """Per-query database ids counted as true neighbors.
 
-    Sets may be empty; queries with empty sets are excluded from
-    ranking-quality averages but still counted in the report.
+    Each query's ids are held as a sorted int64 array without repeats; the
+    constructor accepts any iterables of ints. A query's ids may be empty;
+    such queries are excluded from ranking-quality averages but still
+    counted in the report.
     """
 
-    relevant: list[frozenset[int]]
+    relevant: list[np.ndarray]
 
     def __post_init__(self):
-        self.relevant = [frozenset(int(i) for i in s) for s in self.relevant]
+        self.relevant = [_sorted_unique(s) for s in self.relevant]
 
     @property
     def n_queries(self) -> int:
@@ -117,7 +116,8 @@ def hamming_distances(db: CodeDatabase, query_words: np.ndarray) -> np.ndarray:
 
 def _ranked_order(db: CodeDatabase, query_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dists = hamming_distances(db, query_words)
-    order = np.lexsort((db.ids, dists))
+    # Distances are at most m; a stable sort of 8- or 16-bit keys is a radix sort.
+    order = np.argsort(dists.astype(np.min_scalar_type(db.m)), kind="stable")
     return order, dists
 
 
@@ -126,19 +126,20 @@ def rank(db: CodeDatabase, query_words: np.ndarray, k: int) -> np.ndarray:
     if not 0 <= k <= db.n:
         raise ValueError(f"k={k} outside [0, N={db.n}]")
     order, _ = _ranked_order(db, query_words)
-    return db.ids[order[:k]]
+    return order[:k]
 
 
-def _query_stats(db: CodeDatabase, qwords, relset, k, radius, m):
-    """Metric ingredients for one query; ranking parts None when relset is empty."""
+def _query_stats(db: CodeDatabase, qwords, relevant, k, radius, m):
+    """Metric ingredients for one query; ranking parts None when relevant is empty."""
     order, dists = _ranked_order(db, qwords)
-    rel_db = np.isin(db.ids, np.fromiter(relset, dtype=np.int64, count=len(relset)))
+    rel_db = np.zeros(db.n, dtype=bool)
+    rel_db[relevant] = True
 
     within = dists <= radius
     n_within = int(within.sum())
     prec_r2 = float((within & rel_db).sum() / n_within) if n_within else 0.0
 
-    if not relset:
+    if not relevant.size:
         return None, None, prec_r2, None, None
 
     rel_sorted = rel_db[order]
@@ -150,7 +151,7 @@ def _query_stats(db: CodeDatabase, qwords, relset, k, radius, m):
     n_ret = np.cumsum(np.bincount(dists, minlength=m + 1)[: m + 1]).astype(np.float64)
     n_rel_ret = np.cumsum(np.bincount(dists[rel_db], minlength=m + 1)[: m + 1]).astype(np.float64)
     prec_curve = np.divide(n_rel_ret, n_ret, out=np.zeros(m + 1), where=n_ret > 0)
-    recall_curve = n_rel_ret / len(relset)
+    recall_curve = n_rel_ret / relevant.size
     return ap, p_at_k, prec_r2, prec_curve, recall_curve
 
 
@@ -181,9 +182,8 @@ def evaluate(
         raise ValueError(f"k={k} outside [1, N={db.n}]")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    known = set(db.ids.tolist())
-    for qi, relset in enumerate(gt.relevant):
-        if not relset <= known:
+    for qi, relevant in enumerate(gt.relevant):
+        if relevant.size and (relevant[0] < 0 or relevant[-1] >= db.n):
             raise ValueError(f"ground truth for query {qi} names unknown database ids")
 
     m = db.m
@@ -228,27 +228,23 @@ def evaluate(
 def save_ground_truth(gt: GroundTruth, path) -> None:
     """One line per query: space-separated relevant db ids, empty line = empty set."""
     with open(path, "w", encoding="utf-8") as fh:
-        for relset in gt.relevant:
-            fh.write(" ".join(str(i) for i in sorted(relset)))
+        for relevant in gt.relevant:
+            fh.write(" ".join(map(str, relevant.tolist())))
             fh.write("\n")
 
 
 def load_ground_truth(path) -> GroundTruth:
-    sets = []
+    relevant = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                sets.append(frozenset())
-                continue
             try:
-                ids = frozenset(int(tok) for tok in line.split())
-            except ValueError:
-                raise ValueError(f"malformed ground truth at line {lineno}: {line!r}") from None
-            if any(i < 0 for i in ids):
+                ids = np.array(line.split(), dtype=np.int64)
+            except (ValueError, OverflowError):
+                raise ValueError(f"malformed ground truth at line {lineno}: {line.strip()!r}") from None
+            if ids.size and ids.min() < 0:
                 raise ValueError(f"malformed ground truth at line {lineno}: negative id")
-            sets.append(ids)
-    return GroundTruth(sets)
+            relevant.append(ids)
+    return GroundTruth(relevant)
 
 
 _METRIC_FIELDS = ("precision_at_k", "map", "pr_auc", "prec_within_r2")

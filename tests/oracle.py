@@ -44,6 +44,34 @@ def total_objective(tag: str, m: int, bits: np.ndarray, pairs, lam: float = 100.
     return 2.0 * total
 
 
+# ---------------------------------------------------------- supervision
+
+def sample_partners(n: int, pairs_per_point: int, seed: int) -> set[tuple[int, int]]:
+    """Per-point partner sampling into a set of (i, j) tuples with i < j.
+
+    The same rng.choice call per point, in the same order, as the package.
+    """
+    if n == 1:
+        return set()
+    if pairs_per_point < 1:
+        raise ValueError("pairs_per_point must be >= 1")
+    if pairs_per_point > n - 1:
+        raise ValueError(f"pairs_per_point {pairs_per_point} exceeds n-1 = {n - 1}")
+    pairs: set[tuple[int, int]] = set()
+    if pairs_per_point == n - 1:
+        for a in range(n):
+            for b in range(a + 1, n):
+                pairs.add((a, b))
+        return pairs
+    rng = np.random.default_rng(seed)
+    for a in range(n):
+        others = rng.choice(n - 1, size=pairs_per_point, replace=False)
+        others = others + (others >= a)
+        for b in others:
+            pairs.add((a, int(b)) if a < b else (int(b), a))
+    return pairs
+
+
 # ------------------------------------------------------------------ bqp
 
 def bqp_objective(a_dense: np.ndarray, z: np.ndarray) -> float:
@@ -86,7 +114,8 @@ def naive_metrics(db_bits, db_ids, query_bits_list, relevant_sets, k, radius, m)
     """The four retrieval metrics, computed by definition with loops."""
     aps, pks, r2s = [], [], []
     prec_rows, rec_rows = [], []
-    for qbits, relset in zip(query_bits_list, relevant_sets):
+    for qbits, relevant in zip(query_bits_list, relevant_sets):
+        relset = {int(i) for i in relevant}
         ranking = naive_rank(db_bits, db_ids, qbits)
         within = [(dist, rid) for dist, rid in ranking if dist <= radius]
         if within:

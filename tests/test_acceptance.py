@@ -213,12 +213,12 @@ def test_criterion_6_retrieval_oracle_equivalence(capsys):
         db_bits = db_codes.bits01()
         q_bits = q_codes.bits01()
         for qi in range(n_q):
-            want = [rid for _, rid in oracle.naive_rank(db_bits, db.ids, q_bits[qi])]
+            want = [rid for _, rid in oracle.naive_rank(db_bits, np.arange(n_db), q_bits[qi])]
             got = rank(db, q_codes.words[qi], n_db).tolist()
             assert got == want  # exact ordering
 
         report = evaluate(db, q_codes, gt, k=300, radius=2)
-        want = oracle.naive_metrics(db_bits, db.ids, list(q_bits), sets,
+        want = oracle.naive_metrics(db_bits, np.arange(n_db), list(q_bits), sets,
                                     k=300, radius=2, m=m)
         for key in ("precision_at_k", "map", "pr_auc", "prec_within_r2"):
             worst = max(worst, abs(getattr(report, key) - want[key]))

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tshash
 from tshash import cli
 from tshash.hashfn import encode, load_model
 from tshash.packed import read_codes_file
@@ -56,9 +60,11 @@ class TestGenData:
         assert a.read_bytes() == b.read_bytes()
 
     def test_too_few_clusters_is_usage_error(self, tmp_path):
-        code = run(["gen-data", str(tmp_path / "x.csv"), "--n", "10",
-                    "--clusters", "1", "--seed", "0"])
-        assert code == 2
+        # --d 0 goes through the same up-front range checks
+        for bad in (["--clusters", "1"], ["--clusters", "3", "--d", "0"]):
+            code = run(["gen-data", str(tmp_path / "x.csv"), "--n", "10",
+                        *bad, "--seed", "0"])
+            assert code == 2
 
     def test_n_below_clusters_is_usage_error(self, tmp_path):
         code = run(["gen-data", str(tmp_path / "x.csv"), "--n", "2",
@@ -134,10 +140,23 @@ class TestTrain:
         assert "data:" in capsys.readouterr().err
 
     def test_bad_bits_is_usage_error(self, tmp_path):
+        # --epochs 0 must also be refused before any training starts
         data = gen(tmp_path)
-        code = run(["train", str(data), "--model-out", str(tmp_path / "m.json"),
-                    "--loss", "ksh", "--bits", "0", "--seed", "0"])
-        assert code == 2
+        for bad in (["--bits", "0"], ["--bits", "4", "--epochs", "0"]):
+            code = run(["train", str(data), "--model-out", str(tmp_path / "m.json"),
+                        "--loss", "ksh", *bad, "--seed", "0"])
+            assert code == 2
+            assert not (tmp_path / "m.json.trace.csv").exists()
+
+
+class TestImports:
+    def test_cli_import_leaves_arpack_unloaded(self):
+        # encode, eval and query never train, so they must not pay for ARPACK
+        src = str(Path(tshash.__file__).resolve().parents[1])
+        probe = "import sys, tshash.cli; print('scipy.sparse.linalg' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestEncode:

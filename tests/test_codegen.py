@@ -2,9 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from tshash import codegen
 from tshash.codegen import (
     BqpInstance,
     CodeMatrix,
@@ -215,7 +215,7 @@ class TestSpectralRelax:
         def no_convergence(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((30, 0)))
 
-        monkeypatch.setattr(codegen, "eigsh", no_convergence)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         rng = np.random.default_rng(9)
         bqp = random_bqp(rng, 30)
         with pytest.warns(RuntimeWarning, match="did not converge"):

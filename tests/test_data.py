@@ -17,7 +17,10 @@ from tshash.data import (
     save_supervision,
     supervision_from_distance,
     supervision_from_labels,
+    _sample_partners,
 )
+
+import oracle
 
 EXP_NEG_ONE = 0.36787944117144233
 
@@ -111,8 +114,9 @@ class TestGenerateClusters:
 
 class TestPairSupervision:
     def test_entries_stored_canonically(self):
-        sup = PairSupervision.from_entries(4, [(2, 0, 1.0), (1, 3, -1.0)])
+        sup = PairSupervision.from_entries(4, [(2, 0, 1.0), (1, 3, -1.0), (0, 2, 1.0)])
         assert pair_values(sup) == {(0, 2): 1.0, (1, 3): -1.0}
+        assert len(PairSupervision.from_entries(4, [])) == 0
 
     def test_rejects_self_pair(self):
         with pytest.raises(DataFormatError):
@@ -135,12 +139,32 @@ class TestPairSupervision:
         assert np.array_equal(back.j, sup.j)
         assert np.array_equal(back.y, sup.y)
 
-    @pytest.mark.parametrize("row", ["0,1,nan", "1,2,inf", "0,2,-inf"])
+    # the repeated nan pair must read as non-finite, not as conflicting
+    @pytest.mark.parametrize("row", [
+        "0,1,nan", "1,2,inf", "0,2,-inf", pytest.param("0,1,nan\n1,0,nan", id="nan-twice"),
+    ])
     def test_load_rejects_non_finite_affinity(self, tmp_path, row):
         path = tmp_path / "sup.csv"
         path.write_text(f"0,3,1.0\n{row}\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="finite"):
             load_supervision(path, 4)
+
+
+class TestSamplePartners:
+    @pytest.mark.parametrize("seed", [0, 17, 123456789])
+    @pytest.mark.parametrize("per_point", ["1", "5", "n-1"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_matches_set_based_oracle(self, n, per_point, seed):
+        ppp = n - 1 if per_point == "n-1" else int(per_point)
+        try:
+            want = sorted(oracle.sample_partners(n, ppp, seed))
+        except ValueError:
+            with pytest.raises(ValueError):
+                _sample_partners(n, ppp, seed)
+            return
+        i, j = _sample_partners(n, ppp, seed)
+        assert i.dtype == j.dtype == np.int64
+        assert list(zip(i.tolist(), j.tolist())) == want
 
 
 class TestSupervisionFromLabels:
