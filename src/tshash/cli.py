@@ -155,7 +155,7 @@ def cmd_train(args) -> int:
         ccfg = hashfn.ClassifierConfig(
             c=args.c, epochs=args.epochs, seed=derive_seed(args.seed, ROLE_CLASSIFIERS)
         )
-        model = hashfn.train_model(ds, codes, args.feature, kcfg, ccfg, threads=args.threads)
+        model = hashfn.train_model(ds, codes, args.feature, kcfg, ccfg)
         hashfn.save_model(model, args.model_out)
     return 0
 
@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partners sampled per point, capped at n-1 (default: all when n <= 2000, else 100)")
     p.add_argument("--labeled", action="store_true",
                    help="last CSV column is an integer label (implied by --supervision labels)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for scripts that pass it; training runs on one thread")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="hash a CSV into a packed codes file")

@@ -3,13 +3,14 @@
 Each bit column of the learned code matrix becomes the target of a binary
 classification problem over the training features (raw, or RBF responses
 against an anchor set). The resulting sign classifiers are the hash
-functions applied to unseen points.
+functions applied to unseen points. Every bit has its own seeded hinge
+SGD; since all bits read the same features, `train_model` runs the SGDs of
+all bits in lockstep, one step of each per pass over a sample position.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,10 @@ class ClassifierConfig:
     """Hinge-loss SGD settings; c is the SVM-style cost trade-off.
 
     When c is None it defaults to 1000/n at training time. The effective
-    L2 coefficient of the objective is 1 / (c * n).
+    L2 coefficient of the objective is 1 / (c * n). `epochs` counts SGD
+    passes over the training points; `train_model` runs them for all bits
+    at once. `seed` seeds one bit; `train_model` derives each bit's seed
+    from it.
     """
 
     c: float | None = None
@@ -119,15 +123,76 @@ def hinge_objective(feats: np.ndarray, column: np.ndarray, w: np.ndarray, b: flo
     return 0.5 * reg * float(w @ w) + float(np.mean(np.maximum(0.0, 1.0 - margins)))
 
 
+def _reg(c: float | None, n: int) -> float:
+    """L2 coefficient 1 / (c * n), with c defaulting to 1000 / n."""
+    c = c if c is not None else 1000.0 / n
+    return 1.0 / (c * n)
+
+
+def _sgd_hinge(
+    feats: np.ndarray, columns: np.ndarray, reg: float, epochs: int, seeds: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded subgradient SGD on k non-constant +/-1 columns, in lockstep.
+
+    Column j runs its own SGD from the zero classifier: each epoch visits
+    the samples in the order of `default_rng(seeds[j]).permutation(n)`,
+    step t has size 1 / (reg * (t + t0)), and after every epoch the weights
+    are kept if their regularized hinge objective is the lowest so far (the
+    zero classifier is the first candidate). Step t of every column runs in
+    one pass of the loop: one gathered row per column, one row-wise dot and
+    an update masked to the columns whose margin is below 1. Every operation
+    is row by row (`np.vecdot` takes each row's dot as `x @ w` does), so row
+    j of the result does not depend on the other columns. Returns (weights
+    k x p, biases k) of the best snapshots.
+    """
+    k, n = columns.shape
+    p = feats.shape[1]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    w = np.zeros((k, p))
+    b = np.zeros(k)
+    best_w, best_b = w.copy(), b.copy()
+    best_obj = [hinge_objective(feats, col, w[j], b[j], reg) for j, col in enumerate(columns)]
+
+    t0 = 1.0 / reg  # keeps early steps bounded by ~1/reg * 1/(t + 1/reg) <= 1
+    x = np.empty((k, p))
+    margin = np.empty(k)
+    violated = np.empty(k, dtype=bool)
+    bit_rows = np.arange(k)
+    for epoch in range(epochs):
+        order = np.stack([rng.permutation(n) for rng in rngs], axis=1)  # n x k
+        y = columns[bit_rows, order]
+        lr = 1.0 / (reg * (np.arange(epoch * n + 1, (epoch + 1) * n + 1) + t0))
+        shrink = 1.0 - lr * reg
+        lr_y = lr[:, None] * y
+        for idx, y_t, lr_y_t, shrink_t in zip(order, y, lr_y, shrink.tolist()):
+            np.take(feats, idx, axis=0, out=x, mode="clip")  # unbuffered; idx is in range
+            np.vecdot(x, w, out=margin)
+            margin += b
+            margin *= y_t
+            np.less(margin, 1.0, out=violated)
+            w *= shrink_t
+            step = lr_y_t * violated
+            b += step
+            x *= step[:, None]
+            w += x
+        for j, col in enumerate(columns):
+            obj = hinge_objective(feats, col, w[j], b[j], reg)
+            if obj < best_obj[j]:
+                best_obj[j] = obj
+                best_w[j], best_b[j] = w[j], b[j]
+    return best_w, best_b
+
+
 def train_bit_classifier(
     feats: np.ndarray, column: np.ndarray, cfg: ClassifierConfig
 ) -> LinearHash:
     """Train one sign hash on (features, bit column) by seeded subgradient SGD.
 
-    Runs epoch passes over a reshuffled sample order with step size
-    1 / (reg * (t + t0)), snapshots the weights after every epoch, and
-    returns the snapshot with the lowest regularized hinge objective. The
-    zero classifier is always a candidate, so the returned objective never
+    The one-column case of the lockstep SGD that `train_model` runs for all
+    bits: epoch passes over a reshuffled sample order with step size
+    1 / (reg * (t + t0)), a snapshot after every epoch, and the snapshot
+    with the lowest regularized hinge objective returned. The zero
+    classifier is always a candidate, so the returned objective never
     exceeds that baseline.
     """
     feats = np.asarray(feats, dtype=np.float64)
@@ -140,36 +205,8 @@ def train_bit_classifier(
 
     if np.all(column == column[0]):
         return LinearHash(np.zeros(p), float(column[0]), constant=True)
-
-    c = cfg.c if cfg.c is not None else 1000.0 / n
-    reg = 1.0 / (c * n)
-    rng = np.random.default_rng(cfg.seed)
-
-    w = np.zeros(p)
-    b = 0.0
-    best_w, best_b = w.copy(), b
-    best_obj = hinge_objective(feats, column, w, b, reg)
-
-    t0 = 1.0 / reg  # keeps early steps bounded by ~1/reg * 1/(t + 1/reg) <= 1
-    t = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for idx in order:
-            t += 1
-            lr = 1.0 / (reg * (t + t0))
-            x = feats[idx]
-            y = column[idx]
-            if y * (x @ w + b) < 1.0:
-                w *= 1.0 - lr * reg
-                w += (lr * y) * x
-                b += lr * y
-            else:
-                w *= 1.0 - lr * reg
-        obj = hinge_objective(feats, column, w, b, reg)
-        if obj < best_obj:
-            best_obj = obj
-            best_w, best_b = w.copy(), b
-    return LinearHash(best_w, float(best_b))
+    w, b = _sgd_hinge(feats, column[None, :], _reg(cfg.c, n), cfg.epochs, [cfg.seed])
+    return LinearHash(w[0], float(b[0]))
 
 
 def _feature_matrix(points: np.ndarray, mode: str, kcfg: KernelConfig | None) -> np.ndarray:
@@ -184,29 +221,35 @@ def train_model(
     mode: str,
     kcfg: KernelConfig | None,
     ccfg: ClassifierConfig,
-    threads: int = 1,
 ) -> HashModel:
-    """Train all m bit classifiers independently and assemble the model.
+    """Train all m bit classifiers in one lockstep SGD and assemble the model.
 
-    Per-bit RNG seeds are derived from ccfg.seed by bit index, so results
-    are identical regardless of training order or worker count.
+    Bit k's RNG seed is derived from ccfg.seed and k alone, and bits never
+    mix inside the SGD, so bit k's classifier equals `train_bit_classifier`
+    on column k with that seed. A single-valued column gives a constant
+    hash that outputs its value.
     """
     if codes.n != ds.n:
         raise ValueError("code matrix and dataset cover different point counts")
     if mode not in FEATURE_MODES:
         raise ValueError(f"feature mode must be one of {FEATURE_MODES}")
     feats = _feature_matrix(ds.features, mode, kcfg)
-
-    def train_one(k: int) -> LinearHash:
-        bit_seed = int(np.random.SeedSequence(ccfg.seed, spawn_key=(k,)).generate_state(1)[0])
-        bit_cfg = ClassifierConfig(c=ccfg.c, epochs=ccfg.epochs, seed=bit_seed)
-        return train_bit_classifier(feats, codes.bits[:, k], bit_cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            functions = list(pool.map(train_one, range(codes.m)))
-    else:
-        functions = [train_one(k) for k in range(codes.m)]
+    p = feats.shape[1]
+    bits = codes.bits.T.astype(np.float64)  # m x n, entries +/-1
+    constant = np.all(bits == bits[:, :1], axis=1)
+    functions = [
+        LinearHash(np.zeros(p), float(col[0]), constant=True) if const else None
+        for col, const in zip(bits, constant)
+    ]
+    active = np.flatnonzero(~constant)
+    if active.size:
+        seeds = [
+            int(np.random.SeedSequence(ccfg.seed, spawn_key=(int(k),)).generate_state(1)[0])
+            for k in active
+        ]
+        w, b = _sgd_hinge(feats, bits[active], _reg(ccfg.c, ds.n), ccfg.epochs, seeds)
+        for k, w_k, b_k in zip(active, w, b):
+            functions[k] = LinearHash(w_k, float(b_k))
     return HashModel(functions, mode, ds.d, kcfg)
 
 

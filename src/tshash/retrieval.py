@@ -233,14 +233,22 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
             fh.write("\n")
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def load_ground_truth(path) -> GroundTruth:
     relevant = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            # fromstring parses in C. It reads an unstripped blank line as [0],
+            # and it saturates an id past int64 at the maximum instead of failing.
+            text = line.strip()
             try:
-                ids = np.array(line.split(), dtype=np.int64)
-            except (ValueError, OverflowError):
-                raise ValueError(f"malformed ground truth at line {lineno}: {line.strip()!r}") from None
+                ids = np.fromstring(text, dtype=np.int64, sep=" ")
+            except ValueError:
+                ids = None
+            if ids is None or _INT64_MAX in ids:
+                raise ValueError(f"malformed ground truth at line {lineno}: {text!r}")
             if ids.size and ids.min() < 0:
                 raise ValueError(f"malformed ground truth at line {lineno}: negative id")
             relevant.append(ids)

@@ -72,6 +72,53 @@ def sample_partners(n: int, pairs_per_point: int, seed: int) -> set[tuple[int, i
     return pairs
 
 
+# ------------------------------------------------------------ classifiers
+
+def hinge_sgd(feats: np.ndarray, column: np.ndarray, c: float | None, epochs: int, seed: int):
+    """One bit's seeded hinge SGD, one sample at a time; returns (w, b).
+
+    The column must hold both signs. Step size 1 / (reg * (t + t0)) with
+    reg = 1 / (c n) and t0 = 1 / reg, one fresh permutation per epoch, and
+    the lowest-objective end-of-epoch snapshot, the zero classifier first.
+    """
+    feats = np.asarray(feats, dtype=np.float64)
+    column = np.asarray(column, dtype=np.float64)
+    n, p = feats.shape
+    c = c if c is not None else 1000.0 / n
+    reg = 1.0 / (c * n)
+
+    def objective(w, b):
+        total = 0.0
+        for x, y in zip(feats, column):
+            total += max(0.0, 1.0 - y * (x @ w + b))
+        return 0.5 * reg * float(w @ w) + total / n
+
+    rng = np.random.default_rng(seed)
+    w = np.zeros(p)
+    b = 0.0
+    best_w, best_b = w.copy(), b
+    best_obj = objective(w, b)
+    t0 = 1.0 / reg
+    t = 0
+    for _ in range(epochs):
+        for idx in rng.permutation(n):
+            t += 1
+            lr = 1.0 / (reg * (t + t0))
+            x = feats[idx]
+            y = column[idx]
+            if y * (x @ w + b) < 1.0:
+                w *= 1.0 - lr * reg
+                w += (lr * y) * x
+                b += lr * y
+            else:
+                w *= 1.0 - lr * reg
+        obj = objective(w, b)
+        if obj < best_obj:
+            best_obj = obj
+            best_w, best_b = w.copy(), b
+    return best_w, best_b
+
+
 # ------------------------------------------------------------------ bqp
 
 def bqp_objective(a_dense: np.ndarray, z: np.ndarray) -> float:

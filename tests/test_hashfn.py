@@ -18,6 +18,8 @@ from tshash.hashfn import (
     train_model,
 )
 
+import oracle
+
 XOR_POINTS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_COLUMN = np.array([-1.0, 1.0, 1.0, -1.0])
 
@@ -130,6 +132,11 @@ def small_model(seed=0, mode="raw", n=60, m=4):
     return ds, codes, model
 
 
+def bit_seed(seed, k):
+    """The per-bit seed train_model derives from the classifier seed."""
+    return int(np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(1)[0])
+
+
 class TestTrainModel:
     def test_single_bit_reduces_to_bit_classifier(self):
         rng = np.random.default_rng(13)
@@ -137,18 +144,44 @@ class TestTrainModel:
         bits = np.where(ds.features[:, :1] >= 0, 1, -1).astype(np.int8)
         ccfg = ClassifierConfig(seed=5)
         model = train_model(ds, CodeMatrix(bits), "raw", None, ccfg)
-        bit_seed = int(np.random.SeedSequence(5, spawn_key=(0,)).generate_state(1)[0])
         solo = train_bit_classifier(ds.features, bits[:, 0].astype(float),
-                                    ClassifierConfig(seed=bit_seed))
+                                    ClassifierConfig(seed=bit_seed(5, 0)))
         assert np.array_equal(model.functions[0].w, solo.w)
         assert model.functions[0].b == solo.b
 
-    def test_thread_count_does_not_change_model(self):
+    def test_each_bit_equals_its_solo_classifier(self):
         ds, codes, _ = small_model(seed=17)
-        one = train_model(ds, codes, "raw", None, ClassifierConfig(seed=3), threads=1)
-        four = train_model(ds, codes, "raw", None, ClassifierConfig(seed=3), threads=4)
-        for fa, fb in zip(one.functions, four.functions):
-            assert np.array_equal(fa.w, fb.w) and fa.b == fb.b
+        assert codes.m == 4
+        model = train_model(ds, codes, "raw", None, ClassifierConfig(seed=3))
+        for k, fn in enumerate(model.functions):
+            solo = train_bit_classifier(ds.features, codes.bits[:, k].astype(float),
+                                        ClassifierConfig(seed=bit_seed(3, k)))
+            assert np.array_equal(fn.w, solo.w) and fn.b == solo.b
+
+    @pytest.mark.parametrize("epochs", [1, 5])
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    @pytest.mark.parametrize("n", [2, 40, 150])
+    @pytest.mark.parametrize("small_c", [False, True])
+    def test_lockstep_matches_per_sample_oracle(self, n, m, epochs, small_c):
+        rng = np.random.default_rng(1000 * n + 10 * m + epochs)
+        ds = Dataset(rng.normal(size=(n, 5)))
+        bits = np.where(rng.random((n, m)) < 0.5, 1, -1).astype(np.int8)
+        bits[0, :] = 1
+        bits[1, :] = -1  # all m columns hold both signs; one constant column joins them
+        bits = np.insert(bits, m // 2, 1, axis=1)
+        c = 0.5 / n if small_c else None  # c * n < 1 gives t0 < 1
+        ccfg = ClassifierConfig(c=c, epochs=epochs, seed=n + m)
+        model = train_model(ds, CodeMatrix(bits), "raw", None, ccfg)
+        for k, fn in enumerate(model.functions):
+            column = bits[:, k].astype(float)
+            if k == m // 2:
+                assert fn.constant and np.all(fn.w == 0.0) and fn.b == 1.0
+                continue
+            w, b = oracle.hinge_sgd(ds.features, column, c, epochs, bit_seed(ccfg.seed, k))
+            assert not fn.constant
+            np.testing.assert_allclose(fn.w, w, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(fn.b, b, rtol=1e-9, atol=0.0)
+            assert np.array_equal(fn.apply(ds.features), LinearHash(w, b).apply(ds.features))
 
     def test_rejects_row_count_mismatch(self):
         rng = np.random.default_rng(19)

@@ -225,10 +225,12 @@ class TestGroundTruthIO:
         back = load_ground_truth(path)
         assert [r.tolist() for r in back.relevant] == [[1, 3], [], [0]]
         assert [r.tolist() for r in gt.relevant] == [[1, 3], [], [0]]
+        path.write_text("2\t 5 \n \t\n\n", encoding="utf-8")
+        assert [r.tolist() for r in load_ground_truth(path).relevant] == [[2, 5], [], []]
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "gt.txt"
-        for bad in ("foo bar", "3 99999999999999999999", "1.5"):
+        for bad in ("foo bar", "3 99999999999999999999", "1.5", "1,2", "1e3", "4 x"):
             path.write_text(f"1 2\n{bad}\n", encoding="utf-8")
             with pytest.raises(ValueError, match="line 2"):
                 load_ground_truth(path)
