@@ -26,6 +26,7 @@ from .loss import LOSS_TAGS, LossKind, pair_loss, quadratic_coeffs
 from .codegen import (
     BqpInstance,
     CodeMatrix,
+    SpectralResidualWarning,
     TrainConfig,
     box_relax,
     learn_codes,

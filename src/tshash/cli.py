@@ -5,7 +5,8 @@ encode (hash a CSV into packed codes), eval (retrieval metrics), query
 (interactive top-k lookup). Exit codes: 0 success, 2 usage errors,
 1 runtime errors. All randomness flows from the --seed flag, split per
 role with a counter-based splitter, so identical command lines produce
-byte-identical output files at any --threads setting.
+byte-identical output files at any --threads setting. Only train loads
+scipy; every other subcommand runs on numpy alone.
 """
 
 from __future__ import annotations

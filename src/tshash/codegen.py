@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .data import PairSupervision
 from .loss import LossKind, pair_loss, quadratic_coeffs
@@ -25,6 +24,7 @@ from .loss import LossKind, pair_loss, quadratic_coeffs
 __all__ = [
     "CodeMatrix",
     "BqpInstance",
+    "SpectralResidualWarning",
     "TrainConfig",
     "TraceEntry",
     "spectral_relax",
@@ -37,6 +37,16 @@ __all__ = [
 # Projected-gradient limits of the box relaxation.
 _BOX_MAX_ITERS = 200
 _BOX_TOL = 1e-6
+
+# Largest accepted ||Av - lambda v|| / gershgorin_bound() of a Lanczos eigenpair.
+_RESIDUAL_TOL = 1e-6
+
+
+class SpectralResidualWarning(UserWarning):
+    """Lanczos returned an eigenpair whose relative residual exceeds _RESIDUAL_TOL.
+
+    Not a RuntimeWarning: those mark the random-vector fallback.
+    """
 
 
 @dataclass
@@ -71,6 +81,9 @@ class BqpInstance:
     """
 
     def __init__(self, n: int, i: np.ndarray, j: np.ndarray):
+        # Imported here so that commands which never train do not load scipy.
+        from scipy import sparse
+
         rows = np.concatenate([i, j])
         cols = np.concatenate([j, i])
         order = np.lexsort((cols, rows))
@@ -170,18 +183,21 @@ def spectral_relax(bqp: BqpInstance, *, seed: int = 0) -> np.ndarray:
     and scaled to squared norm n. If ARPACK does not converge, a
     RuntimeWarning saying so is emitted (tracing counts these) and the
     seeded random vector of the right norm is returned instead; the
-    caller's rounding guard makes this safe.
+    caller's rounding guard makes this safe. A converged eigenpair whose
+    residual ||Av - lambda v|| exceeds _RESIDUAL_TOL times the Gershgorin
+    bound emits a SpectralResidualWarning; its vector is still returned.
     """
     # Imported here so that commands which never train do not load ARPACK.
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = bqp.n
-    if bqp.gershgorin_bound() == 0.0:
+    radius = bqp.gershgorin_bound()
+    if radius == 0.0:
         return np.ones(n)
 
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        _, vecs = eigsh(bqp.matrix, k=1, which="SA", v0=v0)
+        vals, vecs = eigsh(bqp.matrix, k=1, which="SA", v0=v0)
     except ArpackNoConvergence:
         warnings.warn(
             "Lanczos did not converge; falling back to a random start vector",
@@ -189,6 +205,12 @@ def spectral_relax(bqp: BqpInstance, *, seed: int = 0) -> np.ndarray:
         )
         return v0 * (np.sqrt(n) / np.linalg.norm(v0))
     v = vecs[:, 0]
+    residual = np.linalg.norm(bqp.matrix @ v - vals[0] * v) / radius
+    if residual > _RESIDUAL_TOL:
+        warnings.warn(
+            f"Lanczos eigenpair has relative residual {residual:.3g}",
+            SpectralResidualWarning,
+        )
     if v[np.argmax(np.abs(v))] < 0:
         v = -v
     return v * (np.sqrt(n) / np.linalg.norm(v))

@@ -1,4 +1,9 @@
-"""Datasets, pairwise supervision, and RBF kernel preprocessing."""
+"""Datasets, pairwise supervision, and RBF kernel preprocessing.
+
+This module needs numpy alone. Pairwise distances are computed by
+_sq_distances in row blocks, one dimension at a time, which gives exactly
+the values of scipy's cdist, so serving commands never import scipy.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "Dataset",
@@ -23,6 +27,10 @@ __all__ = [
     "sample_anchors",
     "kernel_matrix",
 ]
+
+
+# Rows of x per block of _sq_distances; its scratch buffer is this many rows by q.
+_BLOCK_ROWS = 256
 
 
 class DataFormatError(ValueError):
@@ -239,6 +247,39 @@ def supervision_from_labels(ds: Dataset, pairs_per_point: int, seed: int) -> Pai
     return PairSupervision(ds.n, i, j, y)
 
 
+def _sq_distances(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x and of a (n x q, d >= 1).
+
+    Each entry sums (x[:, t] - a[:, t])**2 over t in dimension order, as
+    cdist(x, a, "sqeuclidean") does, so the values are the same bit for bit.
+    The sum runs over row blocks, with one scratch buffer of at most
+    _BLOCK_ROWS x q, so the n x q result is the only large array.
+    """
+    n, q = x.shape[0], a.shape[0]
+    cols = np.ascontiguousarray(a.T)  # d x q: each dimension's values, contiguous
+    out = np.empty((n, q))
+    scratch = np.empty((min(n, _BLOCK_ROWS), q))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = x[start : start + _BLOCK_ROWS]
+        block = out[start : start + _BLOCK_ROWS]
+        buf = scratch[: rows.shape[0]]
+        np.subtract(rows[:, :1], cols[0], out=block)
+        np.square(block, out=block)
+        for t in range(1, x.shape[1]):
+            np.subtract(rows[:, t : t + 1], cols[t], out=buf)
+            np.square(buf, out=buf)
+            block += buf
+    return out
+
+
+def _self_distances(features: np.ndarray) -> np.ndarray:
+    """n x n Euclidean distances between the rows, with inf on the diagonal."""
+    dist = _sq_distances(features, features)
+    np.sqrt(dist, out=dist)
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
 def _quantile_index(percentile: float, count: int) -> int:
     """Index of the cutoff value in an ascending list of `count` distances."""
     k = math.ceil(percentile * count / 100.0)
@@ -262,8 +303,7 @@ def supervision_from_distance(
         raise ValueError("need at least 2 points for distance supervision")
     i, j = _sample_partners(ds.n, pairs_per_point, seed)
 
-    dist = cdist(ds.features, ds.features)
-    np.fill_diagonal(dist, np.inf)
+    dist = _self_distances(ds.features)
     pair_dist = dist[i, j]
     kth = _quantile_index(percentile, ds.n - 1)
     dist.partition(kth, axis=1)
@@ -307,9 +347,12 @@ def rbf_bandwidth(ds: Dataset, t: float, k: int = 100) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     k = min(max(int(k), 1), ds.n - 1)
-    dist = cdist(ds.features, ds.features)
-    np.fill_diagonal(dist, np.inf)
-    nearest = np.sort(dist, axis=1)[:, :k]
+    dist = _self_distances(ds.features)
+    # Sort only the k smallest of each row. The view has the strides of a
+    # full sorted copy, so the mean sums in the same order.
+    dist.partition(k - 1, axis=1)
+    nearest = dist[:, :k]
+    nearest.sort(axis=1)
     mean_dist = float(nearest.mean())
     if mean_dist == 0.0:
         raise ValueError("degenerate bandwidth: all points coincide")
@@ -325,7 +368,7 @@ class KernelConfig:
 
     def __post_init__(self):
         self.anchors = np.ascontiguousarray(self.anchors, dtype=np.float64)
-        if self.anchors.ndim != 2 or self.anchors.shape[0] < 1:
+        if self.anchors.ndim != 2 or self.anchors.shape[0] < 1 or self.anchors.shape[1] < 1:
             raise DataFormatError("anchors must be a non-empty 2-D matrix")
         if not np.isfinite(self.anchors).all():
             raise DataFormatError("anchors contain non-finite values")
@@ -356,6 +399,9 @@ def kernel_matrix(points: np.ndarray, cfg: KernelConfig) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[1] != cfg.d:
         raise ValueError(f"dimension mismatch: points have d={points.shape[1]}, anchors d={cfg.d}")
-    sq = cdist(points, cfg.anchors, "sqeuclidean")
-    return np.exp(-sq / (2.0 * cfg.bandwidth**2))
+    # In place, so the n x q distances are the only large array.
+    out = _sq_distances(points, cfg.anchors)
+    np.negative(out, out=out)
+    out /= 2.0 * cfg.bandwidth**2
+    return np.exp(out, out=out)
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and literal: per-bit loops, full
 enumeration, float arithmetic, Python-level sorting. Nothing imports the
-implementation's fast paths beyond the shared loss formulas.
+implementation's fast paths beyond the shared loss formulas. Distances
+come from scipy's cdist, which the package itself does not use.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 
 # ---------------------------------------------------------------- losses
@@ -70,6 +72,31 @@ def sample_partners(n: int, pairs_per_point: int, seed: int) -> set[tuple[int, i
         for b in others:
             pairs.add((a, int(b)) if a < b else (int(b), a))
     return pairs
+
+
+# ------------------------------------------------------------ distances
+
+def cdist_distance_labels(features: np.ndarray, percentile: float, i, j) -> np.ndarray:
+    """Labels of the pairs (i, j) under distance supervision, from a full cdist."""
+    n = features.shape[0]
+    dist = cdist(features, features)
+    np.fill_diagonal(dist, np.inf)
+    pair_dist = dist[i, j]
+    kth = min(max(math.ceil(percentile * (n - 1) / 100.0), 1), n - 1) - 1
+    cutoff = np.sort(dist, axis=1)[:, kth]
+    return np.where(pair_dist <= np.maximum(cutoff[i], cutoff[j]), 1.0, -1.0)
+
+
+def cdist_bandwidth(features: np.ndarray, t: float, k: int) -> float:
+    """t times the mean distance to each point's k nearest neighbours (k < n)."""
+    dist = cdist(features, features)
+    np.fill_diagonal(dist, np.inf)
+    return t * float(np.sort(dist, axis=1)[:, :k].mean())
+
+
+def cdist_kernel_matrix(points: np.ndarray, anchors: np.ndarray, bandwidth: float) -> np.ndarray:
+    """RBF responses exp(-||x - anchor||^2 / (2 sigma^2))."""
+    return np.exp(-cdist(points, anchors, "sqeuclidean") / (2.0 * bandwidth**2))
 
 
 # ------------------------------------------------------------ classifiers

@@ -149,14 +149,50 @@ class TestTrain:
             assert not (tmp_path / "m.json.trace.csv").exists()
 
 
+def child(code, *args):
+    """Run Python code in a fresh interpreter on this package; return its stdout."""
+    src = str(Path(tshash.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True).stdout
+
+
+# Runs cli.main on each (argv, stdout file) pair of argv[1] with every scipy
+# import made to fail, and prints the exit codes.
+SCIPY_BLOCKED_CLI = """
+import contextlib, json, sys
+sys.modules["scipy"] = None
+from tshash import cli
+codes = []
+for argv, out in json.loads(sys.argv[1]):
+    with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        codes.append(cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
 class TestImports:
-    def test_cli_import_leaves_arpack_unloaded(self):
-        # encode, eval and query never train, so they must not pay for ARPACK
-        src = str(Path(tshash.__file__).resolve().parents[1])
-        probe = "import sys, tshash.cli; print('scipy.sparse.linalg' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "False"
+    @pytest.mark.parametrize("module", ["tshash", "tshash.cli"])
+    def test_import_loads_no_scipy(self, module):
+        # encode, eval and query never train, so they must not pay for scipy
+        probe = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        assert child(probe).strip() == "[]"
+
+    def test_serving_commands_run_without_scipy(self, tmp_path, capsys):
+        data, model, codes, gt, prefix = pipeline(tmp_path)
+        assert run(["query", str(codes), str(codes), "--k", "5"]) == 0
+        query_out = capsys.readouterr().out
+        b_codes, b_prefix = tmp_path / "blocked.tshc", str(tmp_path / "blocked")
+        commands = [
+            (["encode", str(model), str(data), str(b_codes), "--labeled"], os.devnull),
+            (["eval", str(b_codes), str(b_codes), str(gt), "--out-prefix", b_prefix,
+              "--k", "20"], os.devnull),
+            (["query", str(b_codes), str(b_codes), "--k", "5"], str(tmp_path / "query.out")),
+        ]
+        assert json.loads(child(SCIPY_BLOCKED_CLI, json.dumps(commands))) == [0, 0, 0]
+        assert b_codes.read_bytes() == codes.read_bytes()
+        for ext in (".json", ".csv", ".pr.csv"):
+            assert Path(b_prefix + ext).read_bytes() == Path(prefix + ext).read_bytes()
+        assert (tmp_path / "query.out").read_text(encoding="utf-8") == query_out
 
 
 class TestEncode:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from tshash.codegen import (
     BqpInstance,
     CodeMatrix,
+    SpectralResidualWarning,
     TrainConfig,
     box_relax,
     learn_codes,
@@ -206,7 +208,9 @@ class TestSpectralRelax:
         codes = CodeMatrix(rng.choice([-1, 1], size=(n, m)))
         bqp = BqpInstance(n, sup.i, sup.j)
         bqp.set_coefficients(bit_coefficients(sup, codes, 3, LossKind(tag, m)))
-        v = spectral_relax(bqp, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SpectralResidualWarning)
+            v = spectral_relax(bqp, seed=2)
         assert np.sum(v**2) == pytest.approx(float(n), rel=1e-12)
         want = np.linalg.eigvalsh(bqp.dense())[0]
         assert bqp.quad(v) / n == pytest.approx(want, rel=1e-8)
@@ -223,6 +227,23 @@ class TestSpectralRelax:
         assert np.sum(v**2) == pytest.approx(30.0, rel=1e-12)
         start = np.random.default_rng(0).standard_normal(30)
         assert np.allclose(v, start * (np.sqrt(30.0) / np.linalg.norm(start)), rtol=1e-12)
+
+    def test_wrong_eigenpair_warns_and_is_kept(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        bqp = random_bqp(rng, 30)
+        wrong = rng.normal(size=30)
+        wrong /= np.linalg.norm(wrong)
+
+        def wrong_pair(*args, **kwargs):
+            return np.array([-1.0]), wrong[:, None]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", wrong_pair)
+        with pytest.warns(SpectralResidualWarning, match="relative residual"):
+            v = spectral_relax(bqp, seed=0)
+        sign = 1.0 if wrong[np.argmax(np.abs(wrong))] > 0 else -1.0
+        assert np.allclose(v, sign * np.sqrt(30.0) * wrong, rtol=1e-12)
+        # Tracing counts every RuntimeWarning from spectral_relax as a fallback.
+        assert not issubclass(SpectralResidualWarning, RuntimeWarning)
 
     def test_norm_constraint(self):
         rng = np.random.default_rng(11)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from tshash.data import (
     DataFormatError,
@@ -17,7 +18,9 @@ from tshash.data import (
     save_supervision,
     supervision_from_distance,
     supervision_from_labels,
+    _BLOCK_ROWS,
     _sample_partners,
+    _sq_distances,
 )
 
 import oracle
@@ -297,6 +300,10 @@ class TestKernelFeatures:
         feats = kernel_matrix(rng.normal(size=(20, 3)), cfg)
         assert np.all(feats > 0.0) and np.all(feats <= 1.0)
 
+    def test_zero_width_anchors_rejected(self):
+        with pytest.raises(DataFormatError):
+            self.cfg(np.empty((3, 0)), 1.0)
+
     def test_dimension_mismatch_rejected(self):
         cfg = self.cfg([[0.0, 1.0]], 1.0)
         with pytest.raises(ValueError):
@@ -309,3 +316,49 @@ class TestKernelFeatures:
         assert anchors.shape == (10, 3)
         present = {tuple(row) for row in ds.features}
         assert all(tuple(row) in present for row in anchors)
+
+
+# Dimensions for the cdist equalities, and row counts that cover one query
+# row, a partial block and more than one block (not a multiple of it).
+DIST_DIMS = [1, 2, 8, 17, 64]
+DIST_ROWS = [1, 40, _BLOCK_ROWS + 77]
+
+
+class TestDistancesMatchCdist:
+    @pytest.mark.parametrize("d", DIST_DIMS)
+    def test_sq_distances(self, d):
+        rng = np.random.default_rng(d)
+        anchors = rng.normal(size=(37, d))
+        for n in DIST_ROWS:
+            points = rng.normal(scale=3.0, size=(n, d))
+            got = _sq_distances(points, anchors)
+            assert np.array_equal(got, cdist(points, anchors, "sqeuclidean"))
+            assert np.array_equal(np.sqrt(got), cdist(points, anchors))
+
+    @pytest.mark.parametrize("d", DIST_DIMS)
+    def test_kernel_matrix(self, d):
+        rng = np.random.default_rng(100 + d)
+        anchors = rng.normal(size=(37, d))
+        bandwidth = 0.7 * math.sqrt(d)
+        for n in DIST_ROWS:
+            points = rng.normal(size=(n, d))
+            got = kernel_matrix(points, KernelConfig(anchors, bandwidth))
+            assert np.array_equal(got, oracle.cdist_kernel_matrix(points, anchors, bandwidth))
+
+    @pytest.mark.parametrize("d", DIST_DIMS)
+    def test_bandwidth(self, d):
+        # Several seeds and k: an unsorted k-slice sums in another order,
+        # which moves the last bit of the mean on some of these cases.
+        for seed in range(3):
+            ds = generate_clusters(_BLOCK_ROWS + 77, 10, d, 0.3, seed=d + 1000 * seed)
+            for k in (1, 100, 300, ds.n - 1):
+                want = oracle.cdist_bandwidth(ds.features, 1.3, k)
+                assert rbf_bandwidth(ds, 1.3, k) == want
+
+    @pytest.mark.parametrize("d", DIST_DIMS)
+    def test_distance_supervision(self, d):
+        ds = generate_clusters(_BLOCK_ROWS + 77, 10, d, 0.3, seed=200 + d)
+        for percentile in (5.0, 50.0):
+            sup = supervision_from_distance(ds, percentile, 20, seed=d)
+            want = oracle.cdist_distance_labels(ds.features, percentile, sup.i, sup.j)
+            assert np.array_equal(sup.y, want)
