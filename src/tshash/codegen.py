@@ -2,12 +2,20 @@
 
 One sweep visits every bit column in order. With all other bits frozen, the
 pairwise code loss restricted to bit k collapses to a quadratic form
-z.T A z over the n column entries (see loss.quadratic_coeffs). The pairs
-never change between updates, so the sparse structure of A is built once
-and only its coefficients are rewritten per bit. update_bit relaxes each
-instance twice (sphere, then box), sign-rounds the relaxed solutions and
-keeps the best of {rounded candidates, current column}, so the training
-objective never increases.
+z.T A z over the n column entries (see loss.quadratic_coeffs). A bit's
+problem comes in one of two forms, chosen by learn_codes from its input:
+
+- LowRankBqp, when the supervision holds every pair of a labelled set and
+  the loss is ksh or bre. A is then 2(RR^T - mY) + 2I (ksh; bre divides by
+  4m^2), where R is the codes without bit k and Y = 2CC^T - 11^T comes from
+  the one-hot labels C, so A.z costs O(n(m + c)) and no pair is stored.
+- BqpInstance, for every other input. The pairs never change between
+  updates, so the sparse structure of A is built once and only its
+  coefficients are rewritten per bit.
+
+update_bit takes either form, relaxes it twice (sphere, then box),
+sign-rounds the relaxed solutions and keeps the best of {rounded
+candidates, current column}, so the training objective never increases.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .loss import LossKind, pair_loss, quadratic_coeffs
 __all__ = [
     "CodeMatrix",
     "BqpInstance",
+    "LowRankBqp",
     "SpectralResidualWarning",
     "TrainConfig",
     "TraceEntry",
@@ -40,6 +49,9 @@ _BOX_TOL = 1e-6
 
 # Largest accepted ||Av - lambda v|| / gershgorin_bound() of a Lanczos eigenpair.
 _RESIDUAL_TOL = 1e-6
+
+# Losses whose bit problem has the LowRankBqp form under full label supervision.
+_LOW_RANK_LOSSES = ("ksh", "bre")
 
 
 class SpectralResidualWarning(UserWarning):
@@ -133,6 +145,92 @@ class BqpInstance:
         return float(abs(self.matrix).sum(axis=1).max())
 
 
+class LowRankBqp:
+    """Bit k's problem for ksh or bre when every pair of a labelled set is supervised.
+
+    With R the n x (m-1) codes without bit k, and Y = 2CC^T - 11^T from the
+    one-hot labels C (y_ij = +1 on same-class pairs, -1 otherwise), the ksh
+    matrix is A = 2(RR^T - mY) + 2I: the off-diagonal entries are the pair
+    coefficients 2(sbar_ij - m y_ij), and 2I cancels the diagonal
+    2(m - 1 - m). bre's matrix is the same divided by 4m^2. A is never
+    formed: matrix is a LinearOperator computing A.z from R and per-class
+    sums of z, in O(n(m + c)). set_rest fixes R for the next bit.
+    """
+
+    def __init__(self, labels: np.ndarray, kind: LossKind):
+        # Imported here so that commands which never train do not load scipy.
+        from scipy.sparse.linalg import LinearOperator
+
+        if kind.tag not in _LOW_RANK_LOSSES:
+            raise ValueError(f"no low-rank form for the {kind.tag} loss")
+        classes, self._classes = np.unique(labels, return_inverse=True)
+        n = self._classes.size
+        # Points ordered by class, and where each class starts, for class sums.
+        self._order = np.argsort(self._classes, kind="stable")
+        self._starts = np.searchsorted(self._classes[self._order], np.arange(classes.size))
+        self._m = kind.m
+        # The bre loss of a +-1-labelled pair is (s - m y)^2 / (4 m^2).
+        self._scale = 1.0 if kind.tag == "ksh" else 1.0 / (4.0 * kind.m**2)
+        self._rest = np.zeros((n, kind.m - 1))
+        self._radius = 0.0
+        self.matrix = LinearOperator((n, n), matvec=self._apply, dtype=np.float64)
+
+    @property
+    def n(self) -> int:
+        return self._classes.size
+
+    def _class_sums(self, codes: np.ndarray) -> np.ndarray:
+        """C^T codes in int64: one row of column sums per class."""
+        return np.add.reduceat(codes[self._order], self._starts, axis=0, dtype=np.int64)
+
+    def set_rest(self, rest: np.ndarray) -> None:
+        """Fix the other bits: rest is the n x (m-1) code matrix without bit k."""
+        rest = np.asarray(rest)
+        if rest.shape != self._rest.shape:
+            raise ValueError(f"rest must have shape {self._rest.shape}")
+        # (YR)_i = 2 (C^T R)[class of i] - 1^T R, in integers.
+        yr = 2 * self._class_sums(rest)[self._classes] - rest.sum(axis=0, dtype=np.int64)
+        # |sbar_ij| <= m - 1, so |a_ij| = 2(m - y_ij sbar_ij) and row i of |A|
+        # sums to 2((n - 1)m - (r_i . (YR)_i - (m - 1))), the j = i term removed.
+        ysbar = np.einsum("ij,ij->i", rest, yr, dtype=np.int64) - (self._m - 1)
+        rows = (self.n - 1) * self._m - ysbar
+        self._radius = 2.0 * self._scale * float(rows.max())
+        np.copyto(self._rest, rest)
+
+    def _apply(self, z: np.ndarray) -> np.ndarray:
+        z = np.ravel(z)
+        sums = np.bincount(self._classes, weights=z, minlength=self._starts.size)
+        yz = 2.0 * sums[self._classes] - z.sum()
+        out = self._rest @ (self._rest.T @ z)
+        out -= self._m * yz
+        out += z
+        out *= 2.0 * self._scale
+        return out
+
+    def quad(self, z: np.ndarray) -> float:
+        """Quadratic objective z.T A z."""
+        z = np.asarray(z, dtype=np.float64)
+        return float(z @ self._apply(z))
+
+    def gershgorin_bound(self) -> float:
+        """Max absolute row sum of A, exact in integers before scaling."""
+        return self._radius
+
+    def objective(self, bits: np.ndarray) -> float:
+        """Training objective of the n x m codes bits over all ordered pairs.
+
+        For ksh it is ||BB^T - mY||_F^2 = ||B^T B||^2 - 2m(2||C^T B||^2 -
+        ||1^T B||^2) + m^2 n^2 (the diagonal terms are zero), computed in
+        int64; bre's is that divided by 4m^2.
+        """
+        b = np.asarray(bits, dtype=np.int64)
+        m, n = self._m, self.n
+        gram = b.T @ b
+        agree = 2 * np.sum(self._class_sums(b) ** 2) - np.sum(b.sum(axis=0) ** 2)
+        total = int(np.sum(gram**2)) - 2 * m * int(agree) + m * m * n * n
+        return float(total) * self._scale
+
+
 class TraceEntry(NamedTuple):
     sweep: int
     bit: int
@@ -174,11 +272,11 @@ def pairwise_objective(sup: PairSupervision, codes: CodeMatrix, kind: LossKind) 
     return _total_loss(kind, _pair_products(codes.bits, i, j), y)
 
 
-def spectral_relax(bqp: BqpInstance, *, seed: int = 0) -> np.ndarray:
+def spectral_relax(bqp: BqpInstance | LowRankBqp, *, seed: int = 0) -> np.ndarray:
     """Minimizer of z.T A z over the sphere ||z||^2 = n.
 
     The solution is the minimum-eigenvalue eigenvector of A, found by
-    Lanczos iteration (ARPACK) on the sparse matrix from a start vector
+    Lanczos iteration (ARPACK) on bqp.matrix from a start vector
     drawn from seed, signed so that its largest-magnitude entry is positive
     and scaled to squared norm n. If ARPACK does not converge, a
     RuntimeWarning saying so is emitted (tracing counts these) and the
@@ -217,7 +315,10 @@ def spectral_relax(bqp: BqpInstance, *, seed: int = 0) -> np.ndarray:
 
 
 def box_relax(
-    bqp: BqpInstance, init: np.ndarray, max_iters: int = _BOX_MAX_ITERS, tol: float = _BOX_TOL
+    bqp: BqpInstance | LowRankBqp,
+    init: np.ndarray,
+    max_iters: int = _BOX_MAX_ITERS,
+    tol: float = _BOX_TOL,
 ) -> np.ndarray:
     """Projected-gradient descent on z.T A z over the box [-1, 1]^n.
 
@@ -267,17 +368,17 @@ def _sign_round(v: np.ndarray) -> np.ndarray:
 
 
 def update_bit(
-    bqp: BqpInstance, a: np.ndarray, incumbent: np.ndarray, seed: int = 0
+    bqp: BqpInstance | LowRankBqp, incumbent: np.ndarray, seed: int = 0
 ) -> tuple[np.ndarray, float]:
     """One bit update: the new column and its change in objective.
 
-    Writes the pair coefficients a into bqp, relaxes the problem over the
-    sphere (seeded by seed) and then the box, and sign-rounds both relaxed
-    solutions. Each candidate is scored by z.T A z, which differs from the
-    ordered-pair training objective only by a constant (see loss.py), and
-    the incumbent wins all ties, so the returned change is never positive.
+    bqp already holds bit k's problem, in either form. update_bit relaxes
+    it over the sphere (seeded by seed) and then the box, and sign-rounds
+    both relaxed solutions. Each candidate is scored by z.T A z, which
+    differs from the ordered-pair training objective only by a constant
+    (see loss.py), and the incumbent wins all ties, so the returned change
+    is never positive.
     """
-    bqp.set_coefficients(a)
     v0 = spectral_relax(bqp, seed=seed)
     v1 = box_relax(bqp, v0)
     best = np.array(incumbent, dtype=np.int8)
@@ -303,25 +404,37 @@ def learn_codes(
     pairwise loss after every bit update. The trace starts from the exact
     objective of the random initial codes and adds the change that each
     update_bit call reports; those changes are never positive, so the
-    trace is non-increasing by construction.
+    trace is non-increasing by construction. Supervision that holds every
+    pair of a labelled set, with the ksh or bre loss, takes the LowRankBqp
+    form and never reads the pair arrays; any other input takes BqpInstance.
     """
     n = sup.n
     kind = cfg.loss
     rng = np.random.default_rng(cfg.seed)
     bits = (rng.integers(0, 2, size=(n, cfg.m), dtype=np.int8) * 2 - 1).astype(np.int8)
 
-    i, j, y = sup.arrays()
-    bqp = BqpInstance(n, i, j)
-    s = _pair_products(bits, i, j)
-    objective = _total_loss(kind, s, y)
+    low_rank = sup.labels is not None and kind.tag in _LOW_RANK_LOSSES
+    if low_rank:
+        bqp = LowRankBqp(sup.labels, kind)
+        objective = bqp.objective(bits)
+    else:
+        i, j, y = sup.arrays()
+        bqp = BqpInstance(n, i, j)
+        s = _pair_products(bits, i, j)
+        objective = _total_loss(kind, s, y)
     trace: list[TraceEntry] = []
     for sweep in range(cfg.sweeps):
         for k in range(cfg.m):
-            sbar = s - bits[i, k].astype(np.int64) * bits[j, k]
-            a, _ = quadratic_coeffs(kind, sbar, y)
-            col, delta = update_bit(bqp, a, bits[:, k], _spectral_seed(cfg.seed, sweep, k))
+            if low_rank:
+                bqp.set_rest(np.delete(bits, k, axis=1))
+            else:
+                sbar = s - bits[i, k].astype(np.int64) * bits[j, k]
+                a, _ = quadratic_coeffs(kind, sbar, y)
+                bqp.set_coefficients(a)
+            col, delta = update_bit(bqp, bits[:, k], _spectral_seed(cfg.seed, sweep, k))
             bits[:, k] = col
-            s = sbar + col[i].astype(np.int64) * col[j]
+            if not low_rank:
+                s = sbar + col[i].astype(np.int64) * col[j]
             objective += delta
             trace.append(TraceEntry(sweep, k, objective))
     return CodeMatrix(bits), trace

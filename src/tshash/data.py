@@ -160,13 +160,17 @@ class PairSupervision:
     """Sparse symmetric affinity relation on point pairs.
 
     Each stored entry (i, j, y) has i < j and stands for both orders;
-    pairs that are absent carry no relation at all.
+    pairs that are absent carry no relation at all. labels is set only when
+    the entries are all n(n-1)/2 pairs of a labelled set, with y = +1 on
+    same-class pairs and -1 otherwise; code inference then works from the
+    labels instead of the pairs.
     """
 
     n: int
     i: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     j: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     y: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.i = np.ascontiguousarray(self.i, dtype=np.int64)
@@ -184,6 +188,15 @@ class PairSupervision:
             keys = np.sort(self.i * self.n + self.j)
             if np.any(keys[1:] == keys[:-1]):
                 raise DataFormatError("duplicate pair")
+        if self.labels is not None:
+            self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+            if self.labels.shape != (self.n,):
+                raise DataFormatError("labels must hold one entry per point")
+            if self.i.size != self.n * (self.n - 1) // 2:
+                raise DataFormatError("labels need every pair of the n points")
+            if not np.array_equal(self.y, _label_affinity(self.labels, self.i, self.j)):
+                raise DataFormatError("affinities disagree with the labels")
+            self.labels.flags.writeable = False
         for arr in (self.i, self.j, self.y):
             arr.flags.writeable = False
 
@@ -243,8 +256,14 @@ def supervision_from_labels(ds: Dataset, pairs_per_point: int, seed: int) -> Pai
     if not ds.has_labels:
         raise ValueError("dataset has no labels")
     i, j = _sample_partners(ds.n, pairs_per_point, seed)
-    y = np.where(ds.labels[i] == ds.labels[j], 1.0, -1.0)
-    return PairSupervision(ds.n, i, j, y)
+    full = i.size == ds.n * (ds.n - 1) // 2
+    return PairSupervision(
+        ds.n, i, j, _label_affinity(ds.labels, i, j), ds.labels if full else None
+    )
+
+
+def _label_affinity(labels: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    return np.where(labels[i] == labels[j], 1.0, -1.0)
 
 
 def _sq_distances(x: np.ndarray, a: np.ndarray) -> np.ndarray:

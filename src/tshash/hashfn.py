@@ -302,10 +302,10 @@ def load_model(path) -> HashModel:
             for fn in doc["functions"]
         ]
         model = HashModel(functions, mode, int(doc["d"]), kcfg)
+        if model.m != doc["m"]:
+            raise ModelFormatError(f"corrupt model {path}: m={doc['m']} but {model.m} functions")
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model {path}: {exc}") from None
-    if model.m != doc["m"]:
-        raise ModelFormatError(f"corrupt model {path}: m={doc['m']} but {model.m} functions")
     return model

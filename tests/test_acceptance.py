@@ -124,8 +124,9 @@ def test_criterion_3_small_instance_oracle(capsys):
         codes = CodeMatrix(rng.choice([-1, 1], size=(n, 1)).astype(np.int8))
         bqp = BqpInstance(n, sup.i, sup.j)
         a, _ = quadratic_coeffs(kind, np.zeros(len(sup)), sup.y)  # m = 1: sbar = 0
+        bqp.set_coefficients(a)
         incumbent = codes.bits[:, 0]
-        selected, _ = update_bit(bqp, a, incumbent, seed=trial)
+        selected, _ = update_bit(bqp, incumbent, seed=trial)
         # the candidates update_bit rounded, recomputed from the same inputs
         v0 = spectral_relax(bqp, seed=trial)
         v1 = box_relax(bqp, v0)

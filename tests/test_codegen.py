@@ -6,9 +6,11 @@ import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from tshash import codegen
 from tshash.codegen import (
     BqpInstance,
     CodeMatrix,
+    LowRankBqp,
     SpectralResidualWarning,
     TrainConfig,
     box_relax,
@@ -18,6 +20,7 @@ from tshash.codegen import (
     update_bit,
 )
 from tshash.data import (
+    Dataset,
     PairSupervision,
     generate_clusters,
     supervision_from_distance,
@@ -103,7 +106,7 @@ class TestAssemble:
         empty = np.empty(0, dtype=np.int64)
         bqp = BqpInstance(3, empty, empty)
         incumbent = np.array([1, -1, 1], dtype=np.int8)
-        col, delta = update_bit(bqp, np.empty(0), incumbent)
+        col, delta = update_bit(bqp, incumbent)
         assert bqp.matrix.nnz == 0
         assert col.tolist() == [1, -1, 1] and delta == 0.0
 
@@ -160,7 +163,7 @@ class TestAssemble:
             direct = oracle.total_objective(tag, m, codes.bits, zip(sup.i, sup.j, sup.y))
             assert bqp.quad(codes.bits[:, k]) + const == pytest.approx(direct, abs=1e-8)
 
-            col, delta = update_bit(bqp, a, codes.bits[:, k], seed=k)
+            col, delta = update_bit(bqp, codes.bits[:, k], seed=k)
             bits = codes.bits.copy()
             bits[:, k] = col
             after = oracle.total_objective(tag, m, bits, zip(sup.i, sup.j, sup.y))
@@ -289,19 +292,21 @@ class TestRoundAndSelect:
         a = np.array([-1.0])
         bqp.set_coefficients(a)
         assert spectral_relax(bqp)[2] == 0.0
-        col, delta = update_bit(bqp, a, np.array([1, -1, -1]))
+        col, delta = update_bit(bqp, np.array([1, -1, -1]))
         assert col.tolist() == [1, 1, 1] and delta == -4.0
 
     def test_incumbent_wins_ties(self):
         bqp = BqpInstance(2, np.array([0]), np.array([1]))
+        bqp.set_coefficients(np.array([-1.0]))
         incumbent = np.array([-1, -1], dtype=np.int8)
-        col, delta = update_bit(bqp, np.array([-1.0]), incumbent)
+        col, delta = update_bit(bqp, incumbent)
         assert rounded(spectral_relax(bqp)).tolist() == [1, 1]  # only ties
         assert col.tolist() == [-1, -1] and delta == 0.0
 
     def test_incumbent_kept_when_optimal(self):
         bqp = BqpInstance(2, np.array([0]), np.array([1]))
-        col, delta = update_bit(bqp, np.array([-1.0]), np.array([1, 1]))
+        bqp.set_coefficients(np.array([-1.0]))
+        col, delta = update_bit(bqp, np.array([1, 1]))
         assert col.tolist() == [1, 1] and delta == 0.0
 
     def test_selected_dominates_all_candidates(self):
@@ -309,8 +314,9 @@ class TestRoundAndSelect:
         for trial in range(50):
             n = int(rng.integers(2, 10))
             bqp, a = random_pair_bqp(rng, n)
+            bqp.set_coefficients(a)
             incumbent = rng.choice([-1, 1], size=n).astype(np.int8)
-            out, delta = update_bit(bqp, a, incumbent, seed=trial)
+            out, delta = update_bit(bqp, incumbent, seed=trial)
             v0 = spectral_relax(bqp, seed=trial)
             v1 = box_relax(bqp, v0)
             out_val = bqp.quad(out)
@@ -387,3 +393,130 @@ class TestLearnCodes:
         assert [(e.sweep, e.bit) for e in trace] == [
             (s, k) for s in range(3) for k in range(5)
         ]
+
+
+def full_label_supervision(n, classes, seed):
+    """All n(n-1)/2 pairs of a labelled set: one class, `classes` classes, or
+    one class per point ("each")."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) if classes == "each" else rng.integers(0, classes, size=n)
+    return supervision_from_labels(Dataset(np.zeros((n, 1)), labels), max(n - 1, 1), seed=0)
+
+
+def pair_form(sup, bits, k, kind):
+    """Bit k's BqpInstance on the materialized pairs, as the pair path builds it."""
+    bqp = BqpInstance(sup.n, sup.i, sup.j)
+    bqp.set_coefficients(bit_coefficients(sup, CodeMatrix(bits), k, kind))
+    return bqp
+
+
+def low_rank_form(sup, bits, k, kind):
+    bqp = LowRankBqp(sup.labels, kind)
+    bqp.set_rest(np.delete(bits, k, axis=1))
+    return bqp
+
+
+class TestLowRankForm:
+    """LowRankBqp against the pair form on the same full label supervision."""
+
+    @pytest.mark.parametrize("classes", [1, 3, "each"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    @pytest.mark.parametrize("tag", ["ksh", "bre"])
+    def test_matches_pair_form(self, tag, n, classes):
+        rng = np.random.default_rng(n)
+        sup = full_label_supervision(n, classes, seed=n + 1)
+        exact = tag == "ksh"  # integer coefficients: every sum is exact
+        for m in (1, 2, 8, 33):
+            kind = LossKind(tag, m)
+            bits = rng.choice([-1, 1], size=(n, m)).astype(np.int8)
+            k = int(rng.integers(m))
+            low, pairs = low_rank_form(sup, bits, k, kind), pair_form(sup, bits, k, kind)
+            assert low.n == pairs.n == n
+
+            want = pairs.gershgorin_bound()
+            assert low.gershgorin_bound() == (want if exact else pytest.approx(want, rel=1e-12))
+            for z in [bits[:, k], *rng.choice([-1, 1], size=(5, n))]:
+                want = pairs.quad(z)
+                assert low.quad(z) == (want if exact else pytest.approx(want, rel=1e-12))
+            for z in rng.normal(size=(3, n)):
+                got, want = low.matrix @ z, pairs.matrix @ z
+                if n == 1:  # A = 0; only rounding in the diagonal cancellation remains
+                    assert np.abs(got).max() <= 1e-14 * np.abs(z).max()
+                else:
+                    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("classes", [1, 3, "each"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    @pytest.mark.parametrize("tag", ["ksh", "bre"])
+    def test_objective_matches_pairs(self, tag, n, classes):
+        rng = np.random.default_rng(2 * n)
+        sup = full_label_supervision(n, classes, seed=n + 2)
+        for m in (1, 2, 8, 33):
+            kind = LossKind(tag, m)
+            bits = rng.choice([-1, 1], size=(n, m)).astype(np.int8)
+            want = pairwise_objective(sup, CodeMatrix(bits), kind)
+            got = LowRankBqp(sup.labels, kind).objective(bits)
+            assert got == (want if tag == "ksh" else pytest.approx(want, rel=1e-12))
+
+    # With one class per point the minimum eigenvalue of A has multiplicity
+    # about n - m. At n = 300, m = 33 Lanczos then runs to its iteration limit
+    # without converging, on either form (about 1.5 s a call), and update_bit
+    # falls back to the random start; that case is in the slow tier.
+    @pytest.mark.filterwarnings("ignore:Lanczos did not converge:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "n, classes",
+        [
+            *itertools.product([1, 2, 7, 300], [1, 3]),
+            *itertools.product([1, 2, 7], ["each"]),
+            pytest.param(300, "each", marks=pytest.mark.slow),
+        ],
+    )
+    @pytest.mark.parametrize("tag", ["ksh", "bre"])
+    def test_learn_codes_trace(self, tag, n, classes):
+        sup = full_label_supervision(n, classes, seed=n + 3)
+        for m in (1, 2, 8, 33):
+            kind = LossKind(tag, m)
+            codes, trace = learn_codes(sup, TrainConfig(loss=kind, sweeps=2, seed=m))
+            objs = [e.objective for e in trace]
+            assert all(b <= a for a, b in zip(objs, objs[1:]))
+            want = pairwise_objective(sup, codes, kind)
+            if tag == "ksh":
+                assert objs[-1] == want
+            else:  # a running sum: its rounding scales with where it started
+                assert objs[-1] == pytest.approx(want, rel=1e-12, abs=1e-12 * objs[0])
+
+    def test_ksh_trace_is_integer(self):
+        sup = full_label_supervision(40, 4, seed=5)
+        _, trace = learn_codes(sup, TrainConfig(loss=LossKind("ksh", 8), sweeps=2, seed=1))
+        assert all(float(e.objective).is_integer() for e in trace)
+
+    @pytest.mark.parametrize(
+        "tag, labelled, low_rank",
+        [("ksh", True, True), ("bre", True, True), ("exph", True, False), ("ksh", False, False)],
+    )
+    def test_form_chosen_from_input(self, monkeypatch, tag, labelled, low_rank):
+        sup = full_label_supervision(12, 3, seed=6)
+        if not labelled:
+            sup = PairSupervision(sup.n, sup.i, sup.j, sup.y)
+        built = []
+
+        def record(cls):
+            def build(*args, **kwargs):
+                built.append(cls.__name__)
+                return cls(*args, **kwargs)
+            return build
+
+        monkeypatch.setattr(codegen, "BqpInstance", record(BqpInstance))
+        monkeypatch.setattr(codegen, "LowRankBqp", record(LowRankBqp))
+        learn_codes(sup, TrainConfig(loss=LossKind(tag, 4), seed=0))
+        assert built == ["LowRankBqp" if low_rank else "BqpInstance"]
+
+    def test_rejects_other_losses(self):
+        sup = full_label_supervision(5, 2, seed=7)
+        with pytest.raises(ValueError, match="low-rank"):
+            LowRankBqp(sup.labels, LossKind("splh", 4))
+
+    def test_rejects_wrong_rest_shape(self):
+        bqp = LowRankBqp(np.array([0, 1, 1]), LossKind("ksh", 4))
+        with pytest.raises(ValueError, match="shape"):
+            bqp.set_rest(np.ones((3, 4), dtype=np.int8))

@@ -209,6 +209,44 @@ class TestSupervisionFromLabels:
         b = supervision_from_labels(ds, 4, seed=11)
         assert np.array_equal(a.i, b.i) and np.array_equal(a.j, b.j) and np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_labels_kept_only_on_all_pairs(self, n):
+        ds = Dataset(np.zeros((n, 1)), labels=np.arange(n) % 2)
+        full = supervision_from_labels(ds, max(n - 1, 1), seed=0)
+        assert np.array_equal(full.labels, ds.labels)
+        if n > 2:
+            assert supervision_from_labels(ds, 1, seed=0).labels is None
+
+
+class TestLabelledPairSupervision:
+    def full(self, labels):
+        n = len(labels)
+        i, j = np.triu_indices(n, 1)
+        y = np.where(np.equal(labels[i], labels[j]), 1.0, -1.0)
+        return n, i, j, y
+
+    def test_accepts_consistent_labels(self):
+        labels = np.array([3, 1, 3, 2])
+        sup = PairSupervision(*self.full(labels), labels)
+        assert np.array_equal(sup.labels, labels) and not sup.labels.flags.writeable
+
+    def test_rejects_wrong_label_count(self):
+        n, i, j, y = self.full(np.array([0, 1, 0]))
+        with pytest.raises(DataFormatError, match="one entry per point"):
+            PairSupervision(n, i, j, y, np.array([0, 1]))
+
+    def test_rejects_missing_pair(self):
+        labels = np.array([0, 1, 0])
+        n, i, j, y = self.full(labels)
+        with pytest.raises(DataFormatError, match="every pair"):
+            PairSupervision(n, i[1:], j[1:], y[1:], labels)
+
+    def test_rejects_disagreeing_affinity(self):
+        labels = np.array([0, 1, 0])
+        n, i, j, y = self.full(labels)
+        with pytest.raises(DataFormatError, match="disagree"):
+            PairSupervision(n, i, j, -y, labels)
+
 
 class TestSupervisionFromDistance:
     def test_line_example(self):

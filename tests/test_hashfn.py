@@ -253,6 +253,14 @@ class TestModelSerialization:
         path.write_text(json.dumps({"version": 1, "m": 1}), encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
+        # A saved model with only "m" deleted passes every other read.
+        _, _, model = small_model(seed=52)
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        del doc["m"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="'m'"):
+            load_model(path)
 
     def test_wrong_version_rejected(self, tmp_path):
         ds, _, model = small_model(seed=53)

@@ -1,0 +1,80 @@
+"""Scale tier: code inference at n = 2000 with every label pair supervised.
+
+Marked slow, so the default test run deselects it; run it with
+`python -m pytest -q -m slow`. It checks, well above the n <= 300 of the
+acceptance criteria, that the low-rank bit problem's spectral step finds
+the true minimum eigenvalue, that the objective trace is exact and never
+increases, and that training is deterministic.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from tshash.codegen import (
+    LowRankBqp,
+    SpectralResidualWarning,
+    TrainConfig,
+    learn_codes,
+    pairwise_objective,
+    spectral_relax,
+)
+from tshash.data import generate_clusters, supervision_from_labels
+from tshash.loss import LossKind, quadratic_coeffs
+
+pytestmark = pytest.mark.slow
+
+N, CLASSES, M = 2000, 10, 8
+
+
+@pytest.fixture(scope="module")
+def sup():
+    ds = generate_clusters(N, CLASSES, 3, 0.3, seed=2000)
+    return supervision_from_labels(ds, N - 1, seed=1)
+
+
+def dense_matrix(labels, rest, kind, block=500):
+    """Bit matrix A entry by entry from loss.quadratic_coeffs, in row blocks."""
+    n = rest.shape[0]
+    r = rest.astype(np.float64)
+    a = np.empty((n, n))
+    for lo in range(0, n, block):
+        sbar = r[lo : lo + block] @ r.T
+        y = np.where(labels[lo : lo + block, None] == labels[None, :], 1.0, -1.0)
+        a[lo : lo + block], _ = quadratic_coeffs(kind, sbar, y)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+@pytest.mark.parametrize("tag", ["ksh", "bre"])
+def test_spectral_step_finds_minimum_eigenvalue(sup, tag):
+    kind = LossKind(tag, M)
+    rng = np.random.default_rng(7)
+    bits = rng.choice([-1, 1], size=(N, M)).astype(np.int8)
+    bqp = LowRankBqp(sup.labels, kind)
+    for k in (0, 3, 7):
+        rest = np.delete(bits, k, axis=1)
+        bqp.set_rest(rest)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SpectralResidualWarning)
+            v = spectral_relax(bqp, seed=k)
+        want = np.linalg.eigvalsh(dense_matrix(sup.labels, rest, kind))[0]
+        assert bqp.quad(v) / N == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("tag", ["ksh", "bre"])
+def test_trace_exact_and_runs_identical(sup, tag):
+    kind = LossKind(tag, M)
+    cfg = TrainConfig(loss=kind, sweeps=1, seed=11)
+    codes, trace = learn_codes(sup, cfg)
+    objs = [e.objective for e in trace]
+    assert all(b <= a for a, b in zip(objs, objs[1:]))
+    want = pairwise_objective(sup, codes, kind)
+    if tag == "ksh":
+        assert objs[-1] == want
+    else:
+        assert objs[-1] == pytest.approx(want, rel=1e-12)
+
+    again, _ = learn_codes(sup, cfg)
+    assert codes.bits.tobytes() == again.bits.tobytes()
