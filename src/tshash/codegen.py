@@ -5,10 +5,10 @@ pairwise code loss restricted to bit k collapses to a quadratic form
 z.T A z over the n column entries (see loss.quadratic_coeffs). A bit's
 problem comes in one of two forms, chosen by learn_codes from its input:
 
-- LowRankBqp, when the supervision holds every pair of a labelled set and
-  the loss is ksh or bre. A is then 2(RR^T - mY) + 2I (ksh; bre divides by
-  4m^2), where R is the codes without bit k and Y = 2CC^T - 11^T comes from
-  the one-hot labels C, so A.z costs O(n(m + c)) and no pair is stored.
+- LowRankBqp, for label-form supervision and the ksh or bre loss. A is
+  then 2(RR^T - mY) + 2I (ksh; bre divides by 4m^2), where R is the codes
+  without bit k and Y = 2CC^T - 11^T comes from the one-hot labels C, so
+  A.z costs O(n(m + c)) and no pair is stored.
 - BqpInstance, for every other input. The pairs never change between
   updates, so the sparse structure of A is built once and only its
   coefficients are rewritten per bit.
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import PairSupervision
+from .data import PairSupervision, derive_seed
 from .loss import LossKind, pair_loss, quadratic_coeffs
 
 __all__ = [
@@ -391,10 +391,6 @@ def update_bit(
     return best, best_val - start
 
 
-def _spectral_seed(seed: int, sweep: int, k: int) -> int:
-    return int(np.random.SeedSequence(seed, spawn_key=(sweep, k)).generate_state(1)[0])
-
-
 def learn_codes(
     sup: PairSupervision, cfg: TrainConfig
 ) -> tuple[CodeMatrix, list[TraceEntry]]:
@@ -404,9 +400,9 @@ def learn_codes(
     pairwise loss after every bit update. The trace starts from the exact
     objective of the random initial codes and adds the change that each
     update_bit call reports; those changes are never positive, so the
-    trace is non-increasing by construction. Supervision that holds every
-    pair of a labelled set, with the ksh or bre loss, takes the LowRankBqp
-    form and never reads the pair arrays; any other input takes BqpInstance.
+    trace is non-increasing by construction. Label-form supervision with
+    ksh or bre takes LowRankBqp and never builds the pairs; any other input
+    takes BqpInstance, on the pairs from sup.arrays().
     """
     n = sup.n
     kind = cfg.loss
@@ -431,7 +427,7 @@ def learn_codes(
                 sbar = s - bits[i, k].astype(np.int64) * bits[j, k]
                 a, _ = quadratic_coeffs(kind, sbar, y)
                 bqp.set_coefficients(a)
-            col, delta = update_bit(bqp, bits[:, k], _spectral_seed(cfg.seed, sweep, k))
+            col, delta = update_bit(bqp, bits[:, k], derive_seed(cfg.seed, sweep, k))
             bits[:, k] = col
             if not low_rank:
                 s = sbar + col[i].astype(np.int64) * col[j]

@@ -8,7 +8,7 @@ the values of scipy's cdist, so serving commands never import scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,50 +155,44 @@ def generate_clusters(n: int, clusters: int, d: int, spread: float, seed: int) -
     return Dataset(feats, labels)
 
 
-@dataclass
 class PairSupervision:
-    """Sparse symmetric affinity relation on point pairs.
+    """Symmetric affinity relation on point pairs, held as pairs or as labels.
 
-    Each stored entry (i, j, y) has i < j and stands for both orders;
-    pairs that are absent carry no relation at all. labels is set only when
-    the entries are all n(n-1)/2 pairs of a labelled set, with y = +1 on
-    same-class pairs and -1 otherwise; code inference then works from the
-    labels instead of the pairs.
+    Pair form: each stored entry (i, j, y) has i < j and stands for both
+    orders; absent pairs carry no relation. Label form (labels, no entries):
+    all n(n-1)/2 pairs, y = +1 on same-class pairs and -1 otherwise, with only
+    the labels stored. arrays() and i, j, y build its pairs on every call and
+    nothing keeps them; ksh and bre code inference reads only the labels.
     """
 
-    n: int
-    i: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    j: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    y: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.i = np.ascontiguousarray(self.i, dtype=np.int64)
-        self.j = np.ascontiguousarray(self.j, dtype=np.int64)
-        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
-        if not (self.i.shape == self.j.shape == self.y.shape):
+    def __init__(self, n: int, i=(), j=(), y=(), labels=None):
+        self.n = n
+        self.labels = None if labels is None else np.ascontiguousarray(labels, dtype=np.int64)
+        self._pairs = None
+        if self.labels is not None:
+            if len(i) or len(j) or len(y):
+                raise DataFormatError("give either labels or pair entries, not both")
+            if self.labels.shape != (n,):
+                raise DataFormatError("labels must hold one entry per point")
+            self.labels.flags.writeable = False
+            return
+        i, j = (np.ascontiguousarray(a, dtype=np.int64) for a in (i, j))
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        if not (i.shape == j.shape == y.shape):
             raise DataFormatError("supervision arrays must have equal length")
-        if not np.isfinite(self.y).all():
+        if not np.isfinite(y).all():
             raise DataFormatError("affinities must be finite")
-        if self.i.size:
-            if self.i.min() < 0 or self.j.max() >= self.n:
+        if i.size:
+            if i.min() < 0 or j.max() >= n:
                 raise DataFormatError("pair index out of range")
-            if np.any(self.i >= self.j):
+            if np.any(i >= j):
                 raise DataFormatError("pairs must be stored with i < j")
-            keys = np.sort(self.i * self.n + self.j)
+            keys = np.sort(i * n + j)
             if np.any(keys[1:] == keys[:-1]):
                 raise DataFormatError("duplicate pair")
-        if self.labels is not None:
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.n,):
-                raise DataFormatError("labels must hold one entry per point")
-            if self.i.size != self.n * (self.n - 1) // 2:
-                raise DataFormatError("labels need every pair of the n points")
-            if not np.array_equal(self.y, _label_affinity(self.labels, self.i, self.j)):
-                raise DataFormatError("affinities disagree with the labels")
-            self.labels.flags.writeable = False
-        for arr in (self.i, self.j, self.y):
+        for arr in (i, j, y):
             arr.flags.writeable = False
+        self._pairs = (i, j, y)
 
     @classmethod
     def from_entries(cls, n: int, entries) -> "PairSupervision":
@@ -206,6 +200,9 @@ class PairSupervision:
         table = np.array(list(entries) or np.empty((0, 3)), dtype=np.float64)
         if table.ndim != 2 or table.shape[1] != 3:
             raise DataFormatError("entries must be (i, j, y) triples")
+        ids = table[:, :2]
+        if not (np.isfinite(ids).all() and (ids == np.trunc(ids)).all()):
+            raise DataFormatError("pair ids must be integers")
         a, b, y = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
         if np.any(a == b):
             raise DataFormatError(f"self-pair ({a[a == b][0]},{a[a == b][0]}) is not allowed")
@@ -225,10 +222,23 @@ class PairSupervision:
         return cls(n, lo[last], hi[last], y[last])
 
     def __len__(self) -> int:
-        return self.i.size
+        return self.n * (self.n - 1) // 2 if self._pairs is None else self._pairs[0].size
 
-    def arrays(self):
-        return self.i, self.j, self.y
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The supervised pairs as (i, j, y), sorted by (i, j) in the label form."""
+        if self._pairs is not None:
+            return self._pairs
+        i, j = np.triu_indices(self.n, 1)
+        return i, j, _label_affinity(self.labels, i, j)
+
+    i = property(lambda self: self.arrays()[0])
+    j = property(lambda self: self.arrays()[1])
+    y = property(lambda self: self.arrays()[2])
+
+
+def derive_seed(seed: int, *key: int) -> int:
+    """The seed of the independent stream that key names under seed (SeedSequence spawn)."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
 def _sample_partners(n: int, pairs_per_point: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,14 +262,17 @@ def _sample_partners(n: int, pairs_per_point: int, seed: int) -> tuple[np.ndarra
 
 
 def supervision_from_labels(ds: Dataset, pairs_per_point: int, seed: int) -> PairSupervision:
-    """Affinity +1 for same-class pairs, -1 otherwise, on sampled partners."""
+    """Affinity +1 for same-class pairs, -1 otherwise, on sampled partners.
+
+    With every pair supervised the result is in label form and stores no pair.
+    """
     if not ds.has_labels:
         raise ValueError("dataset has no labels")
-    i, j = _sample_partners(ds.n, pairs_per_point, seed)
-    full = i.size == ds.n * (ds.n - 1) // 2
-    return PairSupervision(
-        ds.n, i, j, _label_affinity(ds.labels, i, j), ds.labels if full else None
-    )
+    if ds.n > 1 and pairs_per_point != ds.n - 1:
+        i, j = _sample_partners(ds.n, pairs_per_point, seed)
+        if i.size < ds.n * (ds.n - 1) // 2:
+            return PairSupervision(ds.n, i, j, _label_affinity(ds.labels, i, j))
+    return PairSupervision(ds.n, labels=ds.labels)
 
 
 def _label_affinity(labels: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -334,7 +347,7 @@ def supervision_from_distance(
 def save_supervision(sup: PairSupervision, path) -> None:
     """Write supervision as CSV triples "i,j,y"."""
     with open(path, "w", encoding="utf-8") as fh:
-        for a, b, v in zip(sup.i, sup.j, sup.y):
+        for a, b, v in zip(*sup.arrays()):
             fh.write(f"{int(a)},{int(b)},{float(v)!r}\n")
 
 

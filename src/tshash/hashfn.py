@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import CodeMatrix
-from .data import Dataset, KernelConfig, kernel_matrix
+from .data import Dataset, KernelConfig, derive_seed, kernel_matrix
 from .packed import PackedCodes, pack_signs
 
 __all__ = [
@@ -243,10 +243,7 @@ def train_model(
     ]
     active = np.flatnonzero(~constant)
     if active.size:
-        seeds = [
-            int(np.random.SeedSequence(ccfg.seed, spawn_key=(int(k),)).generate_state(1)[0])
-            for k in active
-        ]
+        seeds = [derive_seed(ccfg.seed, int(k)) for k in active]
         w, b = _sgd_hinge(feats, bits[active], _reg(ccfg.c, ds.n), ccfg.epochs, seeds)
         for k, w_k, b_k in zip(active, w, b):
             functions[k] = LinearHash(w_k, float(b_k))

@@ -497,7 +497,7 @@ class TestLowRankForm:
     def test_form_chosen_from_input(self, monkeypatch, tag, labelled, low_rank):
         sup = full_label_supervision(12, 3, seed=6)
         if not labelled:
-            sup = PairSupervision(sup.n, sup.i, sup.j, sup.y)
+            sup = PairSupervision(sup.n, *sup.arrays())
         built = []
 
         def record(cls):
@@ -510,6 +510,15 @@ class TestLowRankForm:
         monkeypatch.setattr(codegen, "LowRankBqp", record(LowRankBqp))
         learn_codes(sup, TrainConfig(loss=LossKind(tag, 4), seed=0))
         assert built == ["LowRankBqp" if low_rank else "BqpInstance"]
+
+    @pytest.mark.parametrize("tag", ["exph", "splh", "ee"])
+    def test_pair_path_on_built_pairs(self, tag):
+        sup = full_label_supervision(40, 4, seed=8)
+        cfg = TrainConfig(loss=LossKind(tag, 6), sweeps=2, seed=3)
+        codes, trace = learn_codes(sup, cfg)
+        want_codes, want_trace = learn_codes(PairSupervision(sup.n, *sup.arrays()), cfg)
+        assert codes.bits.tobytes() == want_codes.bits.tobytes()
+        assert trace == want_trace
 
     def test_rejects_other_losses(self):
         sup = full_label_supervision(5, 2, seed=7)

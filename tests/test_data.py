@@ -125,6 +125,13 @@ class TestPairSupervision:
         with pytest.raises(DataFormatError):
             PairSupervision.from_entries(3, [(1, 1, 1.0)])
 
+    @pytest.mark.parametrize("entries", [
+        [(0.5, 2, 1.0)], [(1.9, 2.2, -1.0)], [(0, 1, 1.0), (float("inf"), 2, 1.0)],
+    ])
+    def test_rejects_non_integral_ids(self, entries):
+        with pytest.raises(DataFormatError, match="integers"):
+            PairSupervision.from_entries(3, entries)
+
     def test_rejects_conflicting_duplicates(self):
         with pytest.raises(DataFormatError):
             PairSupervision.from_entries(3, [(0, 1, 1.0), (1, 0, -1.0)])
@@ -218,6 +225,13 @@ class TestSupervisionFromLabels:
             assert supervision_from_labels(ds, 1, seed=0).labels is None
 
 
+def held_pair_bytes(sup):
+    """Bytes of the arrays a supervision keeps, its labels aside."""
+    held = [v for v in vars(sup).values() if v is not sup.labels]
+    arrays = [a for v in held for a in (v if isinstance(v, tuple) else (v,))]
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+
 class TestLabelledPairSupervision:
     def full(self, labels):
         n = len(labels)
@@ -227,25 +241,53 @@ class TestLabelledPairSupervision:
 
     def test_accepts_consistent_labels(self):
         labels = np.array([3, 1, 3, 2])
-        sup = PairSupervision(*self.full(labels), labels)
+        sup = PairSupervision(4, labels=labels)
         assert np.array_equal(sup.labels, labels) and not sup.labels.flags.writeable
 
     def test_rejects_wrong_label_count(self):
-        n, i, j, y = self.full(np.array([0, 1, 0]))
         with pytest.raises(DataFormatError, match="one entry per point"):
-            PairSupervision(n, i, j, y, np.array([0, 1]))
+            PairSupervision(3, labels=np.array([0, 1]))
 
-    def test_rejects_missing_pair(self):
+    # The label form is every pair with y from the labels; entries given
+    # beside the labels are refused whether or not they agree with them.
+    @pytest.mark.parametrize("case", ["agreeing", "missing-pair", "disagreeing"])
+    def test_rejects_labels_with_entries(self, case):
         labels = np.array([0, 1, 0])
         n, i, j, y = self.full(labels)
-        with pytest.raises(DataFormatError, match="every pair"):
-            PairSupervision(n, i[1:], j[1:], y[1:], labels)
+        if case == "missing-pair":
+            i, j, y = i[1:], j[1:], y[1:]
+        elif case == "disagreeing":
+            y = -y
+        with pytest.raises(DataFormatError, match="not both"):
+            PairSupervision(n, i, j, y, labels)
 
-    def test_rejects_disagreeing_affinity(self):
-        labels = np.array([0, 1, 0])
-        n, i, j, y = self.full(labels)
-        with pytest.raises(DataFormatError, match="disagree"):
-            PairSupervision(n, i, j, -y, labels)
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_builds_pairs_on_demand(self, n):
+        labels = np.random.default_rng(n).integers(0, 3, size=n)
+        sup = supervision_from_labels(Dataset(np.zeros((n, 1)), labels), max(n - 1, 1), seed=0)
+        _, i, j, y = self.full(labels)
+        assert len(sup) == n * (n - 1) // 2
+        for got in (sup.arrays(), (sup.i, sup.j, sup.y)):
+            assert [a.tolist() for a in got] == [i.tolist(), j.tolist(), y.tolist()]
+            assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
+        assert held_pair_bytes(sup) == 0
+
+    def test_full_pairs_skip_partner_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("partners sampled for full supervision")
+
+        monkeypatch.setattr("tshash.data._sample_partners", refuse)
+        ds = Dataset(np.zeros((5, 1)), labels=np.array([0, 1, 0, 2, 1]))
+        assert len(supervision_from_labels(ds, 4, seed=0)) == 10
+
+    def test_save_load_round_trip(self, tmp_path):
+        labels = np.array([2, 0, 2, 1, 0, 0])
+        sup = PairSupervision(6, labels=labels)
+        path = tmp_path / "sup.csv"
+        save_supervision(sup, path)
+        back = load_supervision(path, 6)
+        assert back.labels is None
+        assert [a.tolist() for a in back.arrays()] == [a.tolist() for a in sup.arrays()]
 
 
 class TestSupervisionFromDistance:

@@ -4,9 +4,11 @@ Marked slow, so the default test run deselects it; run it with
 `python -m pytest -q -m slow`. It checks, well above the n <= 300 of the
 acceptance criteria, that the low-rank bit problem's spectral step finds
 the true minimum eigenvalue, that the objective trace is exact and never
-increases, and that training is deterministic.
+increases, that training is deterministic, and that building the
+supervision allocates no pair array.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +34,18 @@ N, CLASSES, M = 2000, 10, 8
 def sup():
     ds = generate_clusters(N, CLASSES, 3, 0.3, seed=2000)
     return supervision_from_labels(ds, N - 1, seed=1)
+
+
+def test_full_label_supervision_allocates_no_pairs():
+    ds = generate_clusters(N, CLASSES, 3, 0.3, seed=2000)
+    tracemalloc.start()
+    try:
+        sup = supervision_from_labels(ds, N - 1, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sup) == N * (N - 1) // 2
+    assert peak < 1 << 20  # all pairs as int64 i, j and float64 y would take 48 MB
 
 
 def dense_matrix(labels, rest, kind, block=500):
