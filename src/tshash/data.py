@@ -243,8 +243,6 @@ def derive_seed(seed: int, *key: int) -> int:
 
 def _sample_partners(n: int, pairs_per_point: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-point partner sampling without replacement; sorted unique (i, j) arrays, i < j."""
-    if n == 1:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if pairs_per_point < 1:
         raise ValueError("pairs_per_point must be >= 1")
     if pairs_per_point > n - 1:

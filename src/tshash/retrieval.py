@@ -54,8 +54,21 @@ class CodeDatabase:
 
 
 def _sorted_unique(ids) -> np.ndarray:
-    """Sorted int64 array of the distinct ids; np.unique (numpy 2.4) is far slower."""
-    ids = np.sort(np.asarray(ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64))
+    """Sorted int64 array of the distinct ids; np.unique (numpy 2.4) is far slower.
+
+    Raises ValueError for a boolean array and for a fractional or non-finite id.
+    """
+    arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    if arr.dtype == np.bool_:
+        raise ValueError("relevant ids must be integers, not a boolean mask")
+    if arr.dtype.kind not in "iu":
+        values = arr.astype(np.float64)
+        if not (np.isfinite(values).all() and (values == np.trunc(values)).all()):
+            raise ValueError("relevant ids must be integers")
+    ids = arr.astype(np.int64)
+    if (ids[1:] > ids[:-1]).all():
+        return ids
+    ids.sort()
     keep = np.ones(ids.size, dtype=bool)
     keep[1:] = ids[1:] != ids[:-1]
     return ids[keep]
@@ -66,7 +79,9 @@ class GroundTruth:
     """Per-query database ids counted as true neighbors.
 
     Each query's ids are held as a sorted int64 array without repeats; the
-    constructor accepts any iterables of ints. A query's ids may be empty;
+    constructor accepts any iterables of integer ids and raises ValueError
+    for a boolean mask or a fractional or non-finite id. Ids that are already
+    strictly increasing are not sorted again. A query's ids may be empty;
     such queries are excluded from ranking-quality averages but still
     counted in the report.
     """
@@ -107,18 +122,24 @@ class EvalReport:
 
 
 def hamming_distances(db: CodeDatabase, query_words: np.ndarray) -> np.ndarray:
-    """Distances from one packed query to every database code."""
+    """Distances from one packed query to every database code.
+
+    The dtype is np.min_scalar_type(m), uint8 for m <= 255 and uint16 above,
+    which is the key type the ranking sorts on.
+    """
     q = np.asarray(query_words, dtype=np.uint64).reshape(-1)
-    if q.shape[0] != db.codes.words.shape[1]:
+    words = db.codes.words
+    if q.shape[0] != words.shape[1]:
         raise ValueError("query word count does not match database")
-    return np.bitwise_count(db.codes.words ^ q).sum(axis=1, dtype=np.int64)
+    if q.shape[0] == 1:
+        return np.bitwise_count(words[:, 0] ^ q[0])
+    return np.bitwise_count(words ^ q).sum(axis=1, dtype=np.min_scalar_type(db.m))
 
 
 def _ranked_order(db: CodeDatabase, query_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dists = hamming_distances(db, query_words)
     # Distances are at most m; a stable sort of 8- or 16-bit keys is a radix sort.
-    order = np.argsort(dists.astype(np.min_scalar_type(db.m)), kind="stable")
-    return order, dists
+    return np.argsort(dists, kind="stable"), dists
 
 
 def rank(db: CodeDatabase, query_words: np.ndarray, k: int) -> np.ndarray:
@@ -130,26 +151,30 @@ def rank(db: CodeDatabase, query_words: np.ndarray, k: int) -> np.ndarray:
 
 
 def _query_stats(db: CodeDatabase, qwords, relevant, k, radius, m):
-    """Metric ingredients for one query; ranking parts None when relevant is empty."""
-    order, dists = _ranked_order(db, qwords)
-    rel_db = np.zeros(db.n, dtype=bool)
-    rel_db[relevant] = True
+    """Metric ingredients for one query; ranking parts None when relevant is empty.
 
-    within = dists <= radius
-    n_within = int(within.sum())
-    prec_r2 = float((within & rel_db).sum() / n_within) if n_within else 0.0
+    Past the ranking, the work is over the R relevant points: their
+    distances, read through the sorted ids, give the PR counts, and hits,
+    their 0-based ranks in ascending order, give AP and P@k. The i-th hit
+    is preceded by i relevant points, and searchsorted(hits, k) of them lie
+    in the top k, so no N-length cumulative sum is needed.
+    """
+    order, dists = _ranked_order(db, qwords)
+    # n_ret[t] points lie within distance t, n_rel_ret[t] of them relevant
+    n_ret = np.cumsum(np.bincount(dists, minlength=m + 1)).astype(np.float64)
+    n_rel_ret = np.cumsum(np.bincount(np.take(dists, relevant), minlength=m + 1)).astype(np.float64)
+    t = min(radius, m)
+    prec_r2 = float(n_rel_ret[t] / n_ret[t]) if n_ret[t] else 0.0
 
     if not relevant.size:
         return None, None, prec_r2, None, None
 
-    rel_sorted = rel_db[order]
-    cum = np.cumsum(rel_sorted)
-    hits = np.flatnonzero(rel_sorted)
-    ap = float(np.mean(cum[hits] / (hits + 1.0)))
-    p_at_k = float(cum[k - 1] / k) if k > 0 else 0.0
+    rel_db = np.zeros(db.n, dtype=bool)
+    rel_db[relevant] = True
+    hits = np.flatnonzero(np.take(rel_db, order))
+    ap = float(np.mean(np.arange(1, hits.size + 1) / (hits + 1.0)))
+    p_at_k = float(np.searchsorted(hits, k) / k)
 
-    n_ret = np.cumsum(np.bincount(dists, minlength=m + 1)[: m + 1]).astype(np.float64)
-    n_rel_ret = np.cumsum(np.bincount(dists[rel_db], minlength=m + 1)[: m + 1]).astype(np.float64)
     prec_curve = np.divide(n_rel_ret, n_ret, out=np.zeros(m + 1), where=n_ret > 0)
     recall_curve = n_rel_ret / relevant.size
     return ap, p_at_k, prec_r2, prec_curve, recall_curve

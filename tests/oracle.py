@@ -3,7 +3,9 @@
 Everything here is deliberately slow and literal: per-bit loops, full
 enumeration, float arithmetic, Python-level sorting. Nothing imports the
 implementation's fast paths beyond the shared loss formulas. Distances
-come from scipy's cdist, which the package itself does not use.
+come from scipy's cdist, which the package itself does not use. The
+reference_* retrieval routines are the exception: they keep the package's
+former vectorized code, so that its faster replacement can be held to ==.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ def sample_partners(n: int, pairs_per_point: int, seed: int) -> set[tuple[int, i
 
     The same rng.choice call per point, in the same order, as the package.
     """
-    if n == 1:
-        return set()
     if pairs_per_point < 1:
         raise ValueError("pairs_per_point must be >= 1")
     if pairs_per_point > n - 1:
@@ -182,6 +182,48 @@ def naive_rank(db_bits: np.ndarray, db_ids, query_bits: np.ndarray):
     for row, rid in enumerate(db_ids):
         rows.append((float(naive_hamming(db_bits[row], query_bits)), int(rid)))
     return sorted(rows, key=lambda item: (item[0], item[1]))
+
+
+def reference_hamming_distances(db_words: np.ndarray, query_words: np.ndarray) -> np.ndarray:
+    """Row sums of per-word popcounts as int64, the package's former distance routine."""
+    q = np.asarray(query_words, dtype=np.uint64).reshape(-1)
+    return np.bitwise_count(db_words ^ q).sum(axis=1, dtype=np.int64)
+
+
+def reference_ranked_order(db, query_words):
+    dists = reference_hamming_distances(db.codes.words, query_words)
+    order = np.argsort(dists.astype(np.min_scalar_type(db.m)), kind="stable")
+    return order, dists
+
+
+def reference_query_stats(db, qwords, relevant, k, radius, m):
+    """The package's former per-query metric ingredients, kept verbatim.
+
+    Full-length relevance mask, cumulative sum and radius mask over int64
+    distances; the package's _query_stats must match it with ==.
+    """
+    order, dists = reference_ranked_order(db, qwords)
+    rel_db = np.zeros(db.n, dtype=bool)
+    rel_db[relevant] = True
+
+    within = dists <= radius
+    n_within = int(within.sum())
+    prec_r2 = float((within & rel_db).sum() / n_within) if n_within else 0.0
+
+    if not relevant.size:
+        return None, None, prec_r2, None, None
+
+    rel_sorted = rel_db[order]
+    cum = np.cumsum(rel_sorted)
+    hits = np.flatnonzero(rel_sorted)
+    ap = float(np.mean(cum[hits] / (hits + 1.0)))
+    p_at_k = float(cum[k - 1] / k) if k > 0 else 0.0
+
+    n_ret = np.cumsum(np.bincount(dists, minlength=m + 1)[: m + 1]).astype(np.float64)
+    n_rel_ret = np.cumsum(np.bincount(dists[rel_db], minlength=m + 1)[: m + 1]).astype(np.float64)
+    prec_curve = np.divide(n_rel_ret, n_ret, out=np.zeros(m + 1), where=n_ret > 0)
+    recall_curve = n_rel_ret / relevant.size
+    return ap, p_at_k, prec_r2, prec_curve, recall_curve
 
 
 def naive_metrics(db_bits, db_ids, query_bits_list, relevant_sets, k, radius, m):

@@ -5,6 +5,7 @@ from tshash.packed import pack_signs
 from tshash.retrieval import (
     CodeDatabase,
     GroundTruth,
+    _query_stats,
     evaluate,
     hamming_distances,
     load_ground_truth,
@@ -57,6 +58,15 @@ class TestHammingDistance:
             pa, pb = packed_from_signs(sa), packed_from_signs(sb)
             want = oracle.naive_hamming(pa.bits01()[0], pb.bits01()[0])
             assert one_row_distance(pa, pb) == want
+
+    # m=64 fills one word (uint8 keys); m=600 needs 16-bit keys
+    @pytest.mark.parametrize("m, dtype", [(64, np.uint8), (600, np.uint16)])
+    def test_dtype_is_sort_key(self, m, dtype):
+        db = CodeDatabase(packed_from_signs(np.ones((3, m))))
+        query = packed_from_signs(-np.ones((1, m)))
+        dists = hamming_distances(db, query.words[0])
+        assert dists.dtype == dtype
+        assert dists.tolist() == [m, m, m]
 
     def test_length_mismatch_rejected(self):
         a = packed_from_signs([[1] * 70])
@@ -165,7 +175,7 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="unknown"):
                 evaluate(CodeDatabase(db), q, GroundTruth([bad]), k=1)
 
-    @pytest.mark.parametrize("m", [32, 70])
+    @pytest.mark.parametrize("m", [1, 32, 64, 70])
     def test_metrics_match_naive_oracle(self, m):
         rng = np.random.default_rng(100 + m)
         for _ in range(3):
@@ -180,6 +190,39 @@ class TestEvaluate:
                 assert getattr(report, key) == pytest.approx(want[key], abs=1e-12), key
             assert np.allclose(report.pr_precision, want["pr_precision"], atol=1e-12)
             assert np.allclose(report.pr_recall, want["pr_recall"], atol=1e-12)
+
+    # One word (m=1, 8, 64), two words (70) and 16-bit keys (600); radius
+    # m + 300 lies above the uint8 range, and k takes both ends of [1, N].
+    @pytest.mark.parametrize("m", [1, 8, 64, 70, 600])
+    def test_query_stats_match_reference_exactly(self, m):
+        rng = np.random.default_rng(500 + m)
+        pool = rng.choice([-1, 1], size=(4, m)).astype(np.int8)
+        databases = [
+            packed_from_signs(pool[rng.integers(0, 4, 60)]),  # many duplicate codes: heavy ties
+            packed_from_signs(rng.choice([-1, 1], size=(60, m)).astype(np.int8)),
+            packed_from_signs(rng.choice([-1, 1], size=(1, m)).astype(np.int8)),  # N = 1
+        ]
+        queries = packed_from_signs(rng.choice([-1, 1], size=(3, m)).astype(np.int8))
+        for codes in databases:
+            db = CodeDatabase(codes)
+            n = db.n
+            relevant_sets = [
+                np.empty(0, dtype=np.int64),
+                np.arange(n),
+                np.array([n - 1]),
+                np.sort(rng.choice(n, size=(n + 1) // 2, replace=False)),
+            ]
+            for qwords in [*queries.words, codes.words[0]]:
+                for relevant in relevant_sets:
+                    for k in (1, n):
+                        for radius in (0, 2, m, m + 300):
+                            got = _query_stats(db, qwords, relevant, k, radius, m)
+                            want = oracle.reference_query_stats(db, qwords, relevant, k, radius, m)
+                            for g, w in zip(got, want):
+                                if w is None:
+                                    assert g is None
+                                else:
+                                    assert np.array_equal(g, w), (n, k, radius)
 
     def test_metric_bounds(self):
         rng = np.random.default_rng(7)
@@ -234,6 +277,10 @@ class TestGroundTruthIO:
             path.write_text(f"1 2\n{bad}\n", encoding="utf-8")
             with pytest.raises(ValueError, match="line 2"):
                 load_ground_truth(path)
+        # The constructor holds in-memory ids to the same rule.
+        for bad in (np.array([1.5, 2.0]), {0.5, 3}, [np.inf], [True, False], np.array([True, False])):
+            with pytest.raises(ValueError, match="integers"):
+                GroundTruth([bad])
 
     def test_negative_id_rejected(self, tmp_path):
         path = tmp_path / "gt.txt"
