@@ -5,7 +5,8 @@ encode (hash a CSV into packed codes), eval (retrieval metrics), query
 (interactive top-k lookup). Exit codes: 0 success, 2 usage errors,
 1 runtime errors. All randomness flows from the --seed flag, split per
 role with a counter-based splitter, so identical command lines produce
-byte-identical output files at any --threads setting. Only train loads
+byte-identical output files. Every subcommand runs on one thread; train
+and eval accept --threads and ignore it. Only train loads
 scipy; every other subcommand runs on numpy alone.
 """
 
@@ -191,7 +192,7 @@ def cmd_eval(args) -> int:
         gt = retrieval.load_ground_truth(args.ground_truth)
     with _stage("eval"):
         db = retrieval.CodeDatabase(db_codes)
-        report = retrieval.evaluate(db, query_codes, gt, k=args.k, radius=args.radius, threads=args.threads)
+        report = retrieval.evaluate(db, query_codes, gt, k=args.k, radius=args.radius)
         retrieval.write_report_json(report, args.out_prefix + ".json")
         retrieval.write_report_csv(report, args.out_prefix + ".csv")
         retrieval.write_pr_csv(report, args.out_prefix + ".pr.csv")
@@ -266,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-prefix", required=True, help="writes PREFIX.json, PREFIX.csv, PREFIX.pr.csv")
     p.add_argument("--k", type=int, default=retrieval.DEFAULT_K)
     p.add_argument("--radius", type=int, default=retrieval.DEFAULT_RADIUS)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for scripts that pass it; eval runs on one thread")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("query", help="print top-k database ids per query")

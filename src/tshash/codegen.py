@@ -106,22 +106,6 @@ class BqpInstance:
             (np.zeros(order.size), cols[order], indptr), shape=(n, n)
         )
 
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "BqpInstance":
-        """Instance over the nonzero upper-triangle entries of a dense matrix,
-        which must be square, symmetric and zero on the diagonal."""
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("coefficient matrix must be square")
-        if a.size and np.abs(a - a.T).max() > 1e-12:
-            raise ValueError("coefficient matrix must be symmetric")
-        if np.diagonal(a).any():
-            raise ValueError("coefficient matrix must have a zero diagonal")
-        i, j = np.nonzero(np.triu(a, 1))
-        bqp = cls(a.shape[0], i, j)
-        bqp.set_coefficients(a[i, j])
-        return bqp
-
     def set_coefficients(self, a: np.ndarray) -> None:
         """Set A[i, j] = A[j, i] = a[p] for every pair p."""
         np.take(np.asarray(a, dtype=np.float64), self._slot_pair, out=self.matrix.data)
@@ -134,9 +118,6 @@ class BqpInstance:
         """Quadratic objective z.T A z."""
         z = np.asarray(z, dtype=np.float64)
         return float(z @ (self.matrix @ z))
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
     def gershgorin_bound(self) -> float:
         """Upper bound on the spectral radius (max absolute row sum)."""
@@ -314,18 +295,13 @@ def spectral_relax(bqp: BqpInstance | LowRankBqp, *, seed: int = 0) -> np.ndarra
     return v * (np.sqrt(n) / np.linalg.norm(v))
 
 
-def box_relax(
-    bqp: BqpInstance | LowRankBqp,
-    init: np.ndarray,
-    max_iters: int = _BOX_MAX_ITERS,
-    tol: float = _BOX_TOL,
-) -> np.ndarray:
+def box_relax(bqp: BqpInstance | LowRankBqp, init: np.ndarray) -> np.ndarray:
     """Projected-gradient descent on z.T A z over the box [-1, 1]^n.
 
     Starts from init clamped into the box; every accepted step satisfies an
     Armijo decrease condition, so the returned objective never exceeds the
     clamped start's. Terminates when the unit-step projected gradient drops
-    below tol in max norm.
+    below _BOX_TOL in max norm, or after _BOX_MAX_ITERS steps.
     """
     init = np.asarray(init, dtype=np.float64)
     if init.shape != (bqp.n,):
@@ -342,9 +318,9 @@ def box_relax(
     f = bqp.quad(z)
     step = 1.0 / lipschitz
     max_step = 1e6 / lipschitz
-    for _ in range(max_iters):
+    for _ in range(_BOX_MAX_ITERS):
         grad = 2.0 * (mat @ z)
-        if np.max(np.abs(np.clip(z - grad, -1.0, 1.0) - z)) <= tol:
+        if np.max(np.abs(np.clip(z - grad, -1.0, 1.0) - z)) <= _BOX_TOL:
             break
         moved = False
         for _ in range(80):

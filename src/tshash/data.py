@@ -32,6 +32,9 @@ __all__ = [
 # Rows of x per block of _sq_distances; its scratch buffer is this many rows by q.
 _BLOCK_ROWS = 256
 
+# Nearest neighbours per point that rbf_bandwidth averages over (at most n-1).
+_BANDWIDTH_NEIGHBORS = 100
+
 
 class DataFormatError(ValueError):
     """Malformed dataset, supervision, or kernel configuration input."""
@@ -95,6 +98,12 @@ def load_dataset(path, has_labels: bool = False) -> Dataset:
                 raise DataFormatError(f"row {lineno}: need at least one feature and a label")
         elif len(cells) != width:
             raise DataFormatError(f"ragged row {lineno}: expected {width} cells, got {len(cells)}")
+        if "_" in text:
+            # float() and int() read digit separators ("1_000" as 1000); the format has none.
+            col = next(c for c, cell in enumerate(cells) if "_" in cell)
+            if has_labels and col == width - 1:
+                raise DataFormatError(f"non-integer label {cells[col]!r} in row {lineno}")
+            raise DataFormatError(f"non-numeric cell {cells[col]!r} in row {lineno}")
         if has_labels:
             label_cell = cells[-1]
             cells = cells[:-1]
@@ -158,11 +167,12 @@ def generate_clusters(n: int, clusters: int, d: int, spread: float, seed: int) -
 class PairSupervision:
     """Symmetric affinity relation on point pairs, held as pairs or as labels.
 
-    Pair form: each stored entry (i, j, y) has i < j and stands for both
-    orders; absent pairs carry no relation. Label form (labels, no entries):
-    all n(n-1)/2 pairs, y = +1 on same-class pairs and -1 otherwise, with only
-    the labels stored. arrays() and i, j, y build its pairs on every call and
-    nothing keeps them; ksh and bre code inference reads only the labels.
+    Pair form: each stored entry (i, j, y) has i < j and a finite y != 0
+    (positive means similar), and stands for both orders; absent pairs carry
+    no relation. Label form (labels, no entries): all n(n-1)/2 pairs,
+    y = +1 on same-class pairs and -1 otherwise, with only the labels
+    stored. arrays() builds its pairs on every call and nothing keeps them;
+    ksh and bre code inference reads only the labels.
     """
 
     def __init__(self, n: int, i=(), j=(), y=(), labels=None):
@@ -182,6 +192,8 @@ class PairSupervision:
             raise DataFormatError("supervision arrays must have equal length")
         if not np.isfinite(y).all():
             raise DataFormatError("affinities must be finite")
+        if not y.all():
+            raise DataFormatError("affinities must be nonzero")
         if i.size:
             if i.min() < 0 or j.max() >= n:
                 raise DataFormatError("pair index out of range")
@@ -230,10 +242,6 @@ class PairSupervision:
             return self._pairs
         i, j = np.triu_indices(self.n, 1)
         return i, j, _label_affinity(self.labels, i, j)
-
-    i = property(lambda self: self.arrays()[0])
-    j = property(lambda self: self.arrays()[1])
-    y = property(lambda self: self.arrays()[2])
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -360,23 +368,26 @@ def load_supervision(path, n: int) -> PairSupervision:
             if len(cells) != 3:
                 raise DataFormatError(f"supervision row {lineno}: expected 3 cells")
             try:
+                # int() and float() read digit separators ("1_0" as 10); the format has none.
+                if "_" in text:
+                    raise ValueError(text)
                 entries.append((int(cells[0]), int(cells[1]), float(cells[2])))
             except ValueError:
                 raise DataFormatError(f"supervision row {lineno}: malformed cell") from None
     return PairSupervision.from_entries(n, entries)
 
 
-def rbf_bandwidth(ds: Dataset, t: float, k: int = 100) -> float:
+def rbf_bandwidth(ds: Dataset, t: float) -> float:
     """t times the mean distance to each point's k nearest neighbours.
 
-    k is clamped to n-1. Errors out when the mean distance is zero (all
-    points coincide), since a zero bandwidth is unusable.
+    k is _BANDWIDTH_NEIGHBORS clamped to n-1. Errors out when the mean
+    distance is zero (all points coincide), since a zero bandwidth is unusable.
     """
     if ds.n < 2:
         raise ValueError("need at least 2 points to estimate a bandwidth")
     if t <= 0:
         raise ValueError("t must be positive")
-    k = min(max(int(k), 1), ds.n - 1)
+    k = min(_BANDWIDTH_NEIGHBORS, ds.n - 1)
     dist = _self_distances(ds.features)
     # Sort only the k smallest of each row. The view has the strides of a
     # full sorted copy, so the mean sums in the same order.

@@ -27,22 +27,22 @@ __all__ = [
 
 LOSS_TAGS = ("ksh", "bre", "splh", "ee", "exph")
 
+# Weight of the dissimilar-pair term of the ee loss.
+_EE_LAMBDA = 100.0
+
 
 @dataclass(frozen=True)
 class LossKind:
-    """A loss family instance: tag, code length m, and the ee trade-off lam."""
+    """A loss family instance: tag and code length m."""
 
     tag: str
     m: int
-    lam: float = 100.0
 
     def __post_init__(self):
         if self.tag not in LOSS_TAGS:
             raise ValueError(f"unknown loss {self.tag!r}; valid: {', '.join(LOSS_TAGS)}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.tag == "ee" and not self.lam > 0:
-            raise ValueError("lam must be positive for the ee loss")
 
 
 def _loss_values(kind: LossKind, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -56,7 +56,7 @@ def _loss_values(kind: LossKind, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     if kind.tag == "splh":
         return np.exp(-y * s / m)
     if kind.tag == "ee":
-        return (y > 0) * d_h + kind.lam * (y < 0) * np.exp(-d_h / m)
+        return (y > 0) * d_h + _EE_LAMBDA * (y < 0) * np.exp(-d_h / m)
     # exph
     return np.exp((y * d_h + m * (y < 0)) / m)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,6 @@ __all__ = [
     "write_report_json",
     "write_report_csv",
     "write_pr_csv",
-    "load_report_json",
 ]
 
 DEFAULT_K = 300
@@ -110,9 +108,6 @@ class EvalReport:
     # macro-averaged PR curve at distance thresholds 0..m
     pr_precision: np.ndarray = field(repr=False)
     pr_recall: np.ndarray = field(repr=False)
-    # per-query values for the queries with nonempty relevant sets
-    scored_queries: np.ndarray = field(repr=False)
-    per_query_ap: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         for name in ("precision_at_k", "map", "pr_auc", "prec_within_r2"):
@@ -151,7 +146,8 @@ def rank(db: CodeDatabase, query_words: np.ndarray, k: int) -> np.ndarray:
 
 
 def _query_stats(db: CodeDatabase, qwords, relevant, k, radius, m):
-    """Metric ingredients for one query; ranking parts None when relevant is empty.
+    """AP, P@k, radius precision and the PR-curve precision and recall rows of
+    one query whose relevant set is nonempty.
 
     Past the ranking, the work is over the R relevant points: their
     distances, read through the sorted ids, give the PR counts, and hits,
@@ -160,14 +156,13 @@ def _query_stats(db: CodeDatabase, qwords, relevant, k, radius, m):
     in the top k, so no N-length cumulative sum is needed.
     """
     order, dists = _ranked_order(db, qwords)
-    # n_ret[t] points lie within distance t, n_rel_ret[t] of them relevant
-    n_ret = np.cumsum(np.bincount(dists, minlength=m + 1)).astype(np.float64)
+    # n_ret[t] points lie within distance t, n_rel_ret[t] of them relevant.
+    # The order sorts the distances, so n_ret is a search of the sorted keys.
+    thresholds = np.arange(m + 1, dtype=dists.dtype)
+    n_ret = np.searchsorted(np.take(dists, order), thresholds, side="right").astype(np.float64)
     n_rel_ret = np.cumsum(np.bincount(np.take(dists, relevant), minlength=m + 1)).astype(np.float64)
     t = min(radius, m)
     prec_r2 = float(n_rel_ret[t] / n_ret[t]) if n_ret[t] else 0.0
-
-    if not relevant.size:
-        return None, None, prec_r2, None, None
 
     rel_db = np.zeros(db.n, dtype=bool)
     rel_db[relevant] = True
@@ -186,13 +181,13 @@ def evaluate(
     gt: GroundTruth,
     k: int = DEFAULT_K,
     radius: int = DEFAULT_RADIUS,
-    threads: int = 1,
 ) -> EvalReport:
     """Score a query set against the database.
 
     Averaging conventions: precision at K and MAP average over queries
     with nonempty relevant sets; radius precision averages over all
-    queries with empty retrieval counting as 0; the PR curve is the
+    queries with empty retrieval counting as 0, and a query with an empty
+    relevant set has radius precision 0; the PR curve is the
     per-threshold macro average over the scored queries, with empty
     retrieval at a threshold counting as precision 0. PR area is the
     trapezoid over the m+1 curve points.
@@ -211,42 +206,32 @@ def evaluate(
         if relevant.size and (relevant[0] < 0 or relevant[-1] >= db.n):
             raise ValueError(f"ground truth for query {qi} names unknown database ids")
 
-    m = db.m
-
-    def work(qi: int):
-        return _query_stats(db, queries.words[qi], gt.relevant[qi], k, radius, m)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stats = list(pool.map(work, range(queries.n)))
-    else:
-        stats = [work(qi) for qi in range(queries.n)]
-
-    scored = [qi for qi, s in enumerate(stats) if s[0] is not None]
-    if not scored:
+    m, nq = db.m, queries.n
+    scored = np.array([relevant.size > 0 for relevant in gt.relevant])
+    if not scored.any():
         raise ValueError("every query has an empty relevant set; MAP is undefined")
 
-    aps = np.array([stats[qi][0] for qi in scored])
-    pks = np.array([stats[qi][1] for qi in scored])
-    prec_r2 = float(np.mean([s[2] for s in stats]))
-    prec_curve = np.mean([stats[qi][3] for qi in scored], axis=0)
-    recall_curve = np.mean([stats[qi][4] for qi in scored], axis=0)
-    auc = float(np.trapezoid(prec_curve, recall_curve))
+    ap, p_at_k, prec_r2 = np.zeros(nq), np.zeros(nq), np.zeros(nq)
+    prec, recall = np.zeros((nq, m + 1)), np.zeros((nq, m + 1))
+    for qi in np.flatnonzero(scored):
+        ap[qi], p_at_k[qi], prec_r2[qi], prec[qi], recall[qi] = _query_stats(
+            db, queries.words[qi], gt.relevant[qi], k, radius, m
+        )
 
+    prec_curve = prec[scored].mean(axis=0)
+    recall_curve = recall[scored].mean(axis=0)
     return EvalReport(
-        precision_at_k=float(np.mean(pks)),
-        map=float(np.mean(aps)),
-        pr_auc=auc,
-        prec_within_r2=prec_r2,
+        precision_at_k=float(p_at_k[scored].mean()),
+        map=float(ap[scored].mean()),
+        pr_auc=float(np.trapezoid(prec_curve, recall_curve)),
+        prec_within_r2=float(prec_r2.mean()),
         k=k,
         radius=radius,
         m=m,
-        n_queries=queries.n,
-        n_empty_relevant=queries.n - len(scored),
+        n_queries=nq,
+        n_empty_relevant=int(nq - scored.sum()),
         pr_precision=prec_curve,
         pr_recall=recall_curve,
-        scored_queries=np.array(scored, dtype=np.int64),
-        per_query_ap=aps,
     )
 
 
@@ -295,11 +280,6 @@ def write_report_json(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def load_report_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def write_report_csv(report: EvalReport, path) -> None:

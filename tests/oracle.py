@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 
 # ---------------------------------------------------------------- losses
 
-def direct_pair_loss(tag: str, m: int, s: int, y: float, lam: float = 100.0) -> float:
+def direct_pair_loss(tag: str, m: int, s: int, y: float) -> float:
     """Literal per-pair loss formulas, written independently of the package."""
     d_h = (m - s) / 2.0
     if tag == "ksh":
@@ -32,19 +32,19 @@ def direct_pair_loss(tag: str, m: int, s: int, y: float, lam: float = 100.0) -> 
     if tag == "ee":
         if y > 0:
             return float(d_h)
-        return float(lam * math.exp(-d_h / m))
+        return float(100.0 * math.exp(-d_h / m))
     if tag == "exph":
         shift = m if y < 0 else 0.0
         return float(math.exp((y * d_h + shift) / m))
     raise ValueError(tag)
 
 
-def total_objective(tag: str, m: int, bits: np.ndarray, pairs, lam: float = 100.0) -> float:
+def total_objective(tag: str, m: int, bits: np.ndarray, pairs) -> float:
     """Doubled sum of pair losses over stored unordered pairs (i<j)."""
     total = 0.0
     for (a, b, y) in pairs:
         s = int(np.dot(bits[a].astype(int), bits[b].astype(int)))
-        total += direct_pair_loss(tag, m, s, y, lam)
+        total += direct_pair_loss(tag, m, s, y)
     return 2.0 * total
 
 

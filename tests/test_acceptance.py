@@ -122,8 +122,9 @@ def test_criterion_3_small_instance_oracle(capsys):
         tag = LOSS_TAGS[trial % len(LOSS_TAGS)]
         kind = LossKind(tag, 1)
         codes = CodeMatrix(rng.choice([-1, 1], size=(n, 1)).astype(np.int8))
-        bqp = BqpInstance(n, sup.i, sup.j)
-        a, _ = quadratic_coeffs(kind, np.zeros(len(sup)), sup.y)  # m = 1: sbar = 0
+        i, j, y = sup.arrays()
+        bqp = BqpInstance(n, i, j)
+        a, _ = quadratic_coeffs(kind, np.zeros(len(sup)), y)  # m = 1: sbar = 0
         bqp.set_coefficients(a)
         incumbent = codes.bits[:, 0]
         selected, _ = update_bit(bqp, incumbent, seed=trial)
@@ -135,7 +136,7 @@ def test_criterion_3_small_instance_oracle(capsys):
         assert sel_obj <= bqp.quad(np.where(v0 >= 0, 1, -1)) + 0.0
         assert sel_obj <= bqp.quad(np.where(v1 >= 0, 1, -1)) + 0.0
         assert sel_obj <= bqp.quad(incumbent) + 0.0
-        best_val, _ = oracle.brute_force_bqp(bqp.dense())
+        best_val, _ = oracle.brute_force_bqp(bqp.matrix.toarray())
         gaps.append(sel_obj - best_val)
         if sel_obj - best_val <= 1e-9:
             optimal_hits += 1

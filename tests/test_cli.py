@@ -11,7 +11,6 @@ import tshash
 from tshash import cli
 from tshash.hashfn import encode, load_model
 from tshash.packed import read_codes_file
-from tshash.retrieval import load_report_json
 from tshash.data import load_dataset
 
 
@@ -258,7 +257,7 @@ def pipeline(tmp_path, seed=5, threads=1, tag=""):
 class TestEval:
     def test_perfect_self_retrieval(self, tmp_path):
         *_, prefix = pipeline(tmp_path)
-        doc = load_report_json(prefix + ".json")
+        doc = json.loads(Path(prefix + ".json").read_text(encoding="utf-8"))
         assert doc["map"] == 1.0
 
     def test_k_above_database_size_is_usage_error(self, tmp_path):
@@ -296,8 +295,18 @@ class TestEval:
         prefix = str(tmp_path / "rand")
         assert run(["eval", str(db), str(qs), str(gt), "--out-prefix", prefix,
                     "--k", "100"]) == 0
-        doc = load_report_json(prefix + ".json")
+        doc = json.loads(Path(prefix + ".json").read_text(encoding="utf-8"))
         assert abs(doc["precision_at_k"] - density) < 0.08
+
+    def test_zero_threads_is_usage_error(self, tmp_path, capsys):
+        # train and eval run on one thread but still refuse --threads 0,
+        # before they read any input.
+        missing = str(tmp_path / "missing")
+        assert run(["train", missing, "--model-out", missing, "--loss", "ksh",
+                    "--bits", "4", "--seed", "0", "--threads", "0"]) == 2
+        assert run(["eval", missing, missing, missing, "--out-prefix", missing,
+                    "--threads", "0"]) == 2
+        assert capsys.readouterr().err.count("--threads must be >= 1") == 2
 
     def test_malformed_ground_truth_is_runtime_error(self, tmp_path, capsys):
         data, model, codes, gt, _ = pipeline(tmp_path)

@@ -31,11 +31,18 @@ from tshash.loss import LOSS_TAGS, LossKind, quadratic_coeffs
 import oracle
 
 
+def dense_bqp(a):
+    """Instance over the nonzero upper-triangle entries of a symmetric matrix a."""
+    a = np.asarray(a, dtype=np.float64)
+    i, j = np.nonzero(np.triu(a, 1))
+    bqp = BqpInstance(a.shape[0], i, j)
+    bqp.set_coefficients(a[i, j])
+    return bqp
+
+
 def random_bqp(rng, n, scale=1.0):
     a = rng.normal(scale=scale, size=(n, n))
-    a = (a + a.T) / 2.0
-    np.fill_diagonal(a, 0.0)
-    return BqpInstance.from_dense(a)
+    return dense_bqp((a + a.T) / 2.0)
 
 
 def random_pair_bqp(rng, n):
@@ -46,9 +53,10 @@ def random_pair_bqp(rng, n):
 
 def bit_coefficients(sup, codes, k, kind):
     """Pair coefficients a for updating bit k, computed as learn_codes does."""
-    s = np.sum(codes.bits[sup.i].astype(np.int64) * codes.bits[sup.j], axis=1)
-    sbar = s - codes.bits[sup.i, k].astype(np.int64) * codes.bits[sup.j, k]
-    a, _ = quadratic_coeffs(kind, sbar, sup.y)
+    i, j, y = sup.arrays()
+    s = np.sum(codes.bits[i].astype(np.int64) * codes.bits[j], axis=1)
+    sbar = s - codes.bits[i, k].astype(np.int64) * codes.bits[j, k]
+    a, _ = quadratic_coeffs(kind, sbar, y)
     return a
 
 
@@ -79,25 +87,17 @@ class TestCodeMatrix:
 
 
 class TestBqpInstance:
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            BqpInstance.from_dense(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-    def test_rejects_nonzero_diagonal(self):
-        with pytest.raises(ValueError):
-            BqpInstance.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
     def test_quad_matches_dense_form(self):
         rng = np.random.default_rng(0)
         bqp = random_bqp(rng, 7)
         z = rng.normal(size=7)
-        assert bqp.quad(z) == pytest.approx(z @ bqp.dense() @ z, rel=1e-12)
+        assert bqp.quad(z) == pytest.approx(z @ bqp.matrix.toarray() @ z, rel=1e-12)
 
     def test_gershgorin_dominates_spectrum(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             bqp = random_bqp(rng, 9)
-            radius = np.abs(np.linalg.eigvalsh(bqp.dense())).max()
+            radius = np.abs(np.linalg.eigvalsh(bqp.matrix.toarray())).max()
             assert bqp.gershgorin_bound() >= radius - 1e-12
 
 
@@ -113,18 +113,18 @@ class TestAssemble:
     def test_single_pair_worked_example(self):
         sup = PairSupervision.from_entries(2, [(0, 1, 1.0)])
         codes = CodeMatrix(np.ones((2, 1), dtype=np.int8))
-        bqp = BqpInstance(sup.n, sup.i, sup.j)
+        bqp = BqpInstance(sup.n, *sup.arrays()[:2])
         bqp.set_coefficients(bit_coefficients(sup, codes, 0, LossKind("ksh", 1)))
-        dense = bqp.dense()
+        dense = bqp.matrix.toarray()
         assert dense[0, 1] == -2.0 and dense[1, 0] == -2.0
 
     def test_symmetry_on_random_supervision(self):
         rng = np.random.default_rng(3)
         sup = random_supervision(rng, 12, 20)
         codes = CodeMatrix(rng.choice([-1, 1], size=(12, 4)).astype(np.int8))
-        bqp = BqpInstance(sup.n, sup.i, sup.j)
+        bqp = BqpInstance(sup.n, *sup.arrays()[:2])
         bqp.set_coefficients(bit_coefficients(sup, codes, 1, LossKind("ee", 4)))
-        dense = bqp.dense()
+        dense = bqp.matrix.toarray()
         assert np.array_equal(dense, dense.T)
         assert not np.diagonal(dense).any()
 
@@ -134,7 +134,7 @@ class TestAssemble:
         bqp, a = random_pair_bqp(rng, 6)
         bqp.set_coefficients(rng.normal(size=a.size))
         bqp.set_coefficients(a)
-        dense = bqp.dense()
+        dense = bqp.matrix.toarray()
         i, j = np.triu_indices(6, 1)
         assert np.array_equal(dense[i, j], a) and np.array_equal(dense, dense.T)
 
@@ -150,36 +150,36 @@ class TestAssemble:
             sup = random_supervision(rng, n, 18)
             codes = CodeMatrix(rng.choice([-1, 1], size=(n, m)).astype(np.int8))
             k = int(rng.integers(m))
-            bqp = BqpInstance(sup.n, sup.i, sup.j)
+            bqp = BqpInstance(sup.n, *sup.arrays()[:2])
             a = bit_coefficients(sup, codes, k, kind)
             bqp.set_coefficients(a)
 
             const = 0.0
-            for p, q, y in zip(sup.i, sup.j, sup.y):
+            for p, q, y in zip(*sup.arrays()):
                 sbar = int(codes.bits[p] @ codes.bits[q]) - int(codes.bits[p, k]) * int(codes.bits[q, k])
                 hi = oracle.direct_pair_loss(tag, m, sbar + 1, float(y))
                 lo = oracle.direct_pair_loss(tag, m, sbar - 1, float(y))
                 const += hi + lo  # ordered-pair sum of c = (hi + lo) / 2
-            direct = oracle.total_objective(tag, m, codes.bits, zip(sup.i, sup.j, sup.y))
+            direct = oracle.total_objective(tag, m, codes.bits, zip(*sup.arrays()))
             assert bqp.quad(codes.bits[:, k]) + const == pytest.approx(direct, abs=1e-8)
 
             col, delta = update_bit(bqp, codes.bits[:, k], seed=k)
             bits = codes.bits.copy()
             bits[:, k] = col
-            after = oracle.total_objective(tag, m, bits, zip(sup.i, sup.j, sup.y))
+            after = oracle.total_objective(tag, m, bits, zip(*sup.arrays()))
             assert delta == pytest.approx(after - direct, abs=1e-8)
 
 
 class TestSpectralRelax:
     def test_exchange_matrix(self):
-        bqp = BqpInstance.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        bqp = dense_bqp(np.array([[0.0, 1.0], [1.0, 0.0]]))
         v = spectral_relax(bqp)
         assert np.sum(v**2) == pytest.approx(2.0, rel=1e-12)
         assert bqp.quad(v) == pytest.approx(-2.0, abs=1e-9)
         assert v[0] * v[1] < 0
 
     def test_zero_matrix(self):
-        bqp = BqpInstance.from_dense(np.zeros((4, 4)))
+        bqp = dense_bqp(np.zeros((4, 4)))
         v = spectral_relax(bqp)
         assert np.sum(v**2) == pytest.approx(4.0, rel=1e-12)
         assert bqp.quad(v) == 0.0
@@ -209,13 +209,13 @@ class TestSpectralRelax:
         m = 8
         rng = np.random.default_rng(n + 1)
         codes = CodeMatrix(rng.choice([-1, 1], size=(n, m)))
-        bqp = BqpInstance(n, sup.i, sup.j)
+        bqp = BqpInstance(n, *sup.arrays()[:2])
         bqp.set_coefficients(bit_coefficients(sup, codes, 3, LossKind(tag, m)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", SpectralResidualWarning)
             v = spectral_relax(bqp, seed=2)
         assert np.sum(v**2) == pytest.approx(float(n), rel=1e-12)
-        want = np.linalg.eigvalsh(bqp.dense())[0]
+        want = np.linalg.eigvalsh(bqp.matrix.toarray())[0]
         assert bqp.quad(v) / n == pytest.approx(want, rel=1e-8)
 
     def test_nonconvergence_warns_and_falls_back(self, monkeypatch):
@@ -251,20 +251,20 @@ class TestSpectralRelax:
     def test_norm_constraint(self):
         rng = np.random.default_rng(11)
         for n in (1, 3, 17):
-            bqp = random_bqp(rng, n) if n > 1 else BqpInstance.from_dense(np.zeros((1, 1)))
+            bqp = random_bqp(rng, n) if n > 1 else dense_bqp(np.zeros((1, 1)))
             v = spectral_relax(bqp)
             assert np.sum(v**2) == pytest.approx(float(n), rel=1e-12)
 
 
 class TestBoxRelax:
     def test_two_variable_vertex_solution(self):
-        bqp = BqpInstance.from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        bqp = dense_bqp(np.array([[0.0, -1.0], [-1.0, 0.0]]))
         z = box_relax(bqp, np.array([0.1, 0.1]))
         assert bqp.quad(z) == pytest.approx(-2.0, abs=1e-4)
         assert np.all(np.abs(z) <= 1.0)
 
     def test_zero_matrix_returns_clamped_init(self):
-        bqp = BqpInstance.from_dense(np.zeros((3, 3)))
+        bqp = dense_bqp(np.zeros((3, 3)))
         z = box_relax(bqp, np.array([2.0, -7.0, 0.25]))
         assert np.array_equal(z, [1.0, -1.0, 0.25])
 
@@ -279,7 +279,7 @@ class TestBoxRelax:
             assert bqp.quad(z) <= bqp.quad(np.clip(init, -1, 1)) + 1e-12
 
     def test_rejects_non_finite_init(self):
-        bqp = BqpInstance.from_dense(np.zeros((2, 2)))
+        bqp = dense_bqp(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             box_relax(bqp, np.array([np.nan, 0.0]))
 
@@ -372,7 +372,7 @@ class TestLearnCodes:
         kind = LossKind(tag, 6)
         cfg = TrainConfig(loss=kind, sweeps=2, seed=5)
         codes, trace = learn_codes(sup, cfg)
-        direct = oracle.total_objective(tag, 6, codes.bits, zip(sup.i, sup.j, sup.y))
+        direct = oracle.total_objective(tag, 6, codes.bits, zip(*sup.arrays()))
         assert trace[-1].objective == pytest.approx(direct, rel=1e-12)
         assert pairwise_objective(sup, codes, kind) == pytest.approx(direct, rel=1e-12)
 
@@ -405,7 +405,7 @@ def full_label_supervision(n, classes, seed):
 
 def pair_form(sup, bits, k, kind):
     """Bit k's BqpInstance on the materialized pairs, as the pair path builds it."""
-    bqp = BqpInstance(sup.n, sup.i, sup.j)
+    bqp = BqpInstance(sup.n, *sup.arrays()[:2])
     bqp.set_coefficients(bit_coefficients(sup, CodeMatrix(bits), k, kind))
     return bqp
 

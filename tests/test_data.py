@@ -18,6 +18,7 @@ from tshash.data import (
     save_supervision,
     supervision_from_distance,
     supervision_from_labels,
+    _BANDWIDTH_NEIGHBORS,
     _BLOCK_ROWS,
     _sample_partners,
     _sq_distances,
@@ -56,12 +57,18 @@ class TestLoadDataset:
             load_dataset(write(tmp_path, "1.0,2.0\n3.0\n"))
 
     def test_non_numeric_cell_reports_row(self, tmp_path):
-        with pytest.raises(DataFormatError, match="row 1"):
-            load_dataset(write(tmp_path, "1.0,zap\n"))
+        # float() reads "1_000" as 1000; the format has no digit separators.
+        for cell in ("zap", "1_000", "1_0.5", "1e1_0"):
+            with pytest.raises(DataFormatError, match=f"non-numeric cell '{cell}' in row 2"):
+                load_dataset(write(tmp_path, f"1.0,2.0\n1.0,{cell}\n"))
+            with pytest.raises(DataFormatError, match=f"non-numeric cell '{cell}' in row 1"):
+                load_dataset(write(tmp_path, f"{cell},2.0,0\n"), has_labels=True)
 
     def test_non_integer_label_rejected(self, tmp_path):
-        with pytest.raises(DataFormatError, match="label"):
-            load_dataset(write(tmp_path, "1.0,0.5\n"), has_labels=True)
+        # int() reads "1_0" as 10.
+        for label in ("0.5", "1_0"):
+            with pytest.raises(DataFormatError, match=f"non-integer label '{label}' in row 2"):
+                load_dataset(write(tmp_path, f"1.0,0\n1.0,{label}\n"), has_labels=True)
 
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(DataFormatError):
@@ -140,14 +147,24 @@ class TestPairSupervision:
         with pytest.raises(DataFormatError):
             PairSupervision(2, np.array([0]), np.array([5]), np.array([1.0]))
 
+    # bre would read y = 0 as dissimilar, ksh as s -> 0, ee, exph and splh as a constant.
+    def test_rejects_zero_affinity(self, tmp_path):
+        with pytest.raises(DataFormatError, match="nonzero"):
+            PairSupervision(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 0.0]))
+        with pytest.raises(DataFormatError, match="nonzero"):
+            PairSupervision.from_entries(3, [(0, 1, -0.0)])
+        path = tmp_path / "sup.csv"
+        path.write_text("0,1,1.0\n1,2,0\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="nonzero"):
+            load_supervision(path, 3)
+
     def test_save_load_round_trip(self, tmp_path):
         sup = PairSupervision.from_entries(5, [(0, 4, 1.0), (2, 3, -1.0)])
         path = tmp_path / "sup.csv"
         save_supervision(sup, path)
         back = load_supervision(path, 5)
-        assert np.array_equal(back.i, sup.i)
-        assert np.array_equal(back.j, sup.j)
-        assert np.array_equal(back.y, sup.y)
+        for got, want in zip(back.arrays(), sup.arrays()):
+            assert np.array_equal(got, want)
 
     # the repeated nan pair must read as non-finite, not as conflicting
     @pytest.mark.parametrize("row", [
@@ -158,6 +175,14 @@ class TestPairSupervision:
         path.write_text(f"0,3,1.0\n{row}\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="finite"):
             load_supervision(path, 4)
+
+    # int() and float() read "1_0" as 10; the format has no digit separators.
+    @pytest.mark.parametrize("row", ["1_0,2,1.0", "0,1_1,1.0", "0,2,1_0.0", "0,2,x"])
+    def test_load_rejects_malformed_cell(self, tmp_path, row):
+        path = tmp_path / "sup.csv"
+        path.write_text(f"0,3,1.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="supervision row 2: malformed cell"):
+            load_supervision(path, 20)
 
 
 class TestSamplePartners:
@@ -181,7 +206,7 @@ class TestSupervisionFromLabels:
     def test_full_pairing_three_points(self):
         ds = Dataset(np.zeros((3, 1)), labels=np.array([0, 0, 1]))
         sup = supervision_from_labels(ds, 2, seed=0)
-        got = {(int(a), int(b), float(v)) for a, b, v in zip(sup.i, sup.j, sup.y)}
+        got = {(int(a), int(b), float(v)) for a, b, v in zip(*sup.arrays())}
         assert got == {(0, 1, 1.0), (0, 2, -1.0), (1, 2, -1.0)}
 
     def test_two_points_same_class(self):
@@ -206,7 +231,7 @@ class TestSupervisionFromLabels:
         rng = np.random.default_rng(2)
         ds = Dataset(rng.normal(size=(40, 3)), labels=rng.integers(0, 4, size=40))
         sup = supervision_from_labels(ds, 5, seed=7)
-        for a, b, v in zip(sup.i, sup.j, sup.y):
+        for a, b, v in zip(*sup.arrays()):
             assert (v == 1.0) == (ds.labels[a] == ds.labels[b])
 
     def test_deterministic_under_seed(self):
@@ -214,7 +239,8 @@ class TestSupervisionFromLabels:
         ds = Dataset(rng.normal(size=(30, 2)), labels=rng.integers(0, 3, size=30))
         a = supervision_from_labels(ds, 4, seed=11)
         b = supervision_from_labels(ds, 4, seed=11)
-        assert np.array_equal(a.i, b.i) and np.array_equal(a.j, b.j) and np.array_equal(a.y, b.y)
+        for got, want in zip(a.arrays(), b.arrays()):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_labels_kept_only_on_all_pairs(self, n):
@@ -267,9 +293,9 @@ class TestLabelledPairSupervision:
         sup = supervision_from_labels(Dataset(np.zeros((n, 1)), labels), max(n - 1, 1), seed=0)
         _, i, j, y = self.full(labels)
         assert len(sup) == n * (n - 1) // 2
-        for got in (sup.arrays(), (sup.i, sup.j, sup.y)):
-            assert [a.tolist() for a in got] == [i.tolist(), j.tolist(), y.tolist()]
-            assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
+        got = sup.arrays()
+        assert [a.tolist() for a in got] == [i.tolist(), j.tolist(), y.tolist()]
+        assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
         assert held_pair_bytes(sup) == 0
 
     def test_full_pairs_skip_partner_sampling(self, monkeypatch):
@@ -305,7 +331,7 @@ class TestSupervisionFromDistance:
     def test_identical_points_all_similar(self):
         ds = Dataset(np.zeros((5, 2)))
         sup = supervision_from_distance(ds, 2.0, 4, seed=0)
-        assert np.all(sup.y == 1.0)
+        assert np.all(sup.arrays()[2] == 1.0)
 
     def test_rejects_bad_percentile(self):
         ds = Dataset(np.zeros((3, 1)))
@@ -325,33 +351,35 @@ class TestSupervisionFromDistance:
         dist = np.sqrt(((ds.features[:, None] - ds.features[None]) ** 2).sum(-1))
         masked = dist + np.diag(np.full(60, np.inf))
         cut = np.sort(masked, axis=1)[:, math.ceil(10.0 * 59 / 100.0) - 1]
-        for a, b, v in zip(sup.i, sup.j, sup.y):
+        for a, b, v in zip(*sup.arrays()):
             expect = 1.0 if dist[a, b] <= max(cut[a], cut[b]) else -1.0
             assert v == expect
 
 
 class TestBandwidth:
     def test_two_point_example(self):
-        assert rbf_bandwidth(Dataset(np.array([[0.0], [1.0]])), 1.0, k=1) == 1.0
+        assert rbf_bandwidth(Dataset(np.array([[0.0], [1.0]])), 1.0) == 1.0
 
     def test_three_point_example(self):
-        got = rbf_bandwidth(Dataset(np.array([[0.0], [1.0], [2.0]])), 2.0, k=1)
-        assert got == pytest.approx(2.0, abs=1e-12)
+        # neighbour distances (1, 2), (1, 1) and (1, 2): mean 4/3, times t = 2
+        got = rbf_bandwidth(Dataset(np.array([[0.0], [1.0], [2.0]])), 2.0)
+        assert got == pytest.approx(8.0 / 3.0, abs=1e-12)
 
     def test_degenerate_points_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            rbf_bandwidth(Dataset(np.zeros((4, 2))), 1.0, k=2)
+            rbf_bandwidth(Dataset(np.zeros((4, 2))), 1.0)
 
     def test_linear_in_t(self):
         rng = np.random.default_rng(1)
         ds = Dataset(rng.normal(size=(30, 4)))
-        lo = rbf_bandwidth(ds, 0.7, k=5)
-        hi = rbf_bandwidth(ds, 1.4, k=5)
+        lo = rbf_bandwidth(ds, 0.7)
+        hi = rbf_bandwidth(ds, 1.4)
         assert hi == pytest.approx(2.0 * lo, rel=1e-12)
 
     def test_k_clamped_to_available_neighbors(self):
+        # k = 100 clamps to n - 1 = 2: distances (3, 7), (3, 4) and (4, 7)
         ds = Dataset(np.array([[0.0], [3.0], [7.0]]))
-        assert rbf_bandwidth(ds, 1.0, k=100) == rbf_bandwidth(ds, 1.0, k=2)
+        assert rbf_bandwidth(ds, 1.0) == pytest.approx(14.0 / 3.0, abs=1e-12)
 
 
 class TestKernelFeatures:
@@ -427,18 +455,19 @@ class TestDistancesMatchCdist:
 
     @pytest.mark.parametrize("d", DIST_DIMS)
     def test_bandwidth(self, d):
-        # Several seeds and k: an unsorted k-slice sums in another order,
-        # which moves the last bit of the mean on some of these cases.
+        # Several seeds and sizes, so that k = min(100, n - 1) takes both
+        # values: an unsorted k-slice sums in another order, which moves the
+        # last bit of the mean on some of these cases.
         for seed in range(3):
-            ds = generate_clusters(_BLOCK_ROWS + 77, 10, d, 0.3, seed=d + 1000 * seed)
-            for k in (1, 100, 300, ds.n - 1):
-                want = oracle.cdist_bandwidth(ds.features, 1.3, k)
-                assert rbf_bandwidth(ds, 1.3, k) == want
+            for n in (11, 101, 102, _BLOCK_ROWS + 77):
+                ds = generate_clusters(n, 10, d, 0.3, seed=d + 1000 * seed + n)
+                want = oracle.cdist_bandwidth(ds.features, 1.3, min(_BANDWIDTH_NEIGHBORS, n - 1))
+                assert rbf_bandwidth(ds, 1.3) == want
 
     @pytest.mark.parametrize("d", DIST_DIMS)
     def test_distance_supervision(self, d):
         ds = generate_clusters(_BLOCK_ROWS + 77, 10, d, 0.3, seed=200 + d)
         for percentile in (5.0, 50.0):
             sup = supervision_from_distance(ds, percentile, 20, seed=d)
-            want = oracle.cdist_distance_labels(ds.features, percentile, sup.i, sup.j)
-            assert np.array_equal(sup.y, want)
+            i, j, y = sup.arrays()
+            assert np.array_equal(y, oracle.cdist_distance_labels(ds.features, percentile, i, j))

@@ -29,9 +29,6 @@ class TestPairLoss:
         # d_h = 0 happens at s = m
         assert pair_loss(LossKind("ee", 6), 6, -1.0) == 100.0
 
-    def test_ee_custom_lambda(self):
-        assert pair_loss(LossKind("ee", 6, lam=7.0), 6, -1.0) == 7.0
-
     def test_exph_dissimilar_at_max_distance(self):
         # d_h = 8 happens at s = -m
         assert pair_loss(LossKind("exph", 8), -8, -1.0) == 1.0

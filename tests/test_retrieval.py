@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from tshash.retrieval import (
     evaluate,
     hamming_distances,
     load_ground_truth,
-    load_report_json,
     rank,
     save_ground_truth,
     write_pr_csv,
@@ -181,7 +182,7 @@ class TestEvaluate:
         for _ in range(3):
             db_codes, q_codes, gt = random_instance(rng, 200, 12, m)
             db = CodeDatabase(db_codes)
-            report = evaluate(db, q_codes, gt, k=25, radius=m // 3, threads=1)
+            report = evaluate(db, q_codes, gt, k=25, radius=m // 3)
             want = oracle.naive_metrics(
                 db_codes.bits01(), np.arange(db.n), list(q_codes.bits01()),
                 gt.relevant, k=25, radius=m // 3, m=m,
@@ -216,13 +217,15 @@ class TestEvaluate:
                 for relevant in relevant_sets:
                     for k in (1, n):
                         for radius in (0, 2, m, m + 300):
-                            got = _query_stats(db, qwords, relevant, k, radius, m)
                             want = oracle.reference_query_stats(db, qwords, relevant, k, radius, m)
+                            if not relevant.size:
+                                # evaluate does not rank such a query: its
+                                # radius precision is the 0 it starts from.
+                                assert want == (None, None, 0.0, None, None)
+                                continue
+                            got = _query_stats(db, qwords, relevant, k, radius, m)
                             for g, w in zip(got, want):
-                                if w is None:
-                                    assert g is None
-                                else:
-                                    assert np.array_equal(g, w), (n, k, radius)
+                                assert np.array_equal(g, w), (n, k, radius)
 
     def test_metric_bounds(self):
         rng = np.random.default_rng(7)
@@ -230,14 +233,6 @@ class TestEvaluate:
         report = evaluate(CodeDatabase(db_codes), q_codes, gt, k=10, radius=2)
         for name in ("precision_at_k", "map", "pr_auc", "prec_within_r2"):
             assert 0.0 <= getattr(report, name) <= 1.0
-
-    def test_threads_do_not_change_results(self):
-        rng = np.random.default_rng(9)
-        db_codes, q_codes, gt = random_instance(rng, 120, 15, 32)
-        one = evaluate(CodeDatabase(db_codes), q_codes, gt, k=10, threads=1)
-        four = evaluate(CodeDatabase(db_codes), q_codes, gt, k=10, threads=4)
-        assert one.map == four.map and one.precision_at_k == four.precision_at_k
-        assert np.array_equal(one.pr_precision, four.pr_precision)
 
     def test_monotone_degradation_under_bit_flips(self):
         m, per_cluster = 32, 40
@@ -299,7 +294,7 @@ class TestReportExport:
         report = self.make_report()
         path = tmp_path / "report.json"
         write_report_json(report, path)
-        doc = load_report_json(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
         for key in ("precision_at_k", "map", "pr_auc", "prec_within_r2",
                     "k", "radius", "m", "n_queries", "n_empty_relevant"):
             assert key in doc
