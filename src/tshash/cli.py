@@ -52,11 +52,6 @@ def _stage(name: str):
         raise StageError(f"{name}: {exc}") from exc
 
 
-def _count_data_rows(path) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        return sum(1 for line in fh if line.strip())
-
-
 def cmd_gen_data(args) -> int:
     if args.clusters < 2:
         raise UsageError("--clusters must be >= 2")
@@ -159,15 +154,17 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     with _stage("model"):
         model = hashfn.load_model(args.model)
-    if _count_data_rows(args.data) == 0:
-        # nothing to hash; emit a header-only codes file
-        with _stage("codes"):
-            empty = PackedCodes(np.zeros((0, words_per_code(model.m)), dtype=np.uint64), model.m)
-            write_codes_file(args.out, empty)
-        return 0
-    ds = _load_for(args, args.labeled)
+    with _stage("data"):
+        try:
+            ds = data.load_dataset(args.data, has_labels=args.labeled)
+        except data.EmptyDatasetError:
+            ds = None
     with _stage("codes"):
-        codes = hashfn.encode(model, ds.features)
+        if ds is None:
+            # nothing to hash; emit a header-only codes file
+            codes = PackedCodes(np.zeros((0, words_per_code(model.m)), dtype=np.uint64), model.m)
+        else:
+            codes = hashfn.encode(model, ds.features)
         write_codes_file(args.out, codes)
     return 0
 

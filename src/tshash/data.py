@@ -8,6 +8,7 @@ the values of scipy's cdist, so serving commands never import scipy.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ __all__ = [
     "PairSupervision",
     "KernelConfig",
     "DataFormatError",
+    "EmptyDatasetError",
     "load_dataset",
     "generate_clusters",
     "supervision_from_labels",
@@ -32,12 +34,22 @@ __all__ = [
 # Rows of x per block of _sq_distances; its scratch buffer is this many rows by q.
 _BLOCK_ROWS = 256
 
+# Bytes per block when load_dataset scans a CSV, and the only bytes its
+# np.loadtxt read accepts: ASCII digits, signs, points, exponents, commas
+# and blanks.
+_SCAN_BYTES = 1 << 20
+_FAST_BYTES = b"0123456789+-.eE, \t\r\n"
+
 # Nearest neighbours per point that rbf_bandwidth averages over (at most n-1).
 _BANDWIDTH_NEIGHBORS = 100
 
 
 class DataFormatError(ValueError):
     """Malformed dataset, supervision, or kernel configuration input."""
+
+
+class EmptyDatasetError(DataFormatError):
+    """A dataset CSV with no rows: empty, or every line blank."""
 
 
 @dataclass
@@ -79,8 +91,53 @@ def load_dataset(path, has_labels: bool = False) -> Dataset:
     """Parse a headerless CSV of reals (optional trailing integer label column).
 
     Blank lines are ignored; any malformed cell is reported with its 1-based
-    file row number.
+    file row number. A file with no rows raises EmptyDatasetError. The file
+    is read by one np.loadtxt call; _parse_rows reads it instead wherever
+    that read is refused, so only _parse_rows words errors.
     """
+    ds = _load_fast(path, has_labels)
+    return ds if ds is not None else _parse_rows(path, has_labels)
+
+
+def _load_fast(path, has_labels: bool) -> Dataset | None:
+    """The dataset from one np.loadtxt read, or None to leave the file to _parse_rows.
+
+    Only files made of _FAST_BYTES are read here, so no numpy version's
+    treatment of other text (digit separators, '#', quotes, non-ASCII digits
+    or spaces, a BOM) can matter; on these bytes loadtxt parses a cell as
+    float() and int() do. A cell loadtxt refuses, any warning or a non-finite
+    feature leaves the file to _parse_rows, which also reads the valid
+    inputs loadtxt refuses, such as lines of spaces.
+    """
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_SCAN_BYTES), b""):
+            if block.translate(None, _FAST_BYTES):
+                return None
+    with open(path, "r", encoding="ascii") as fh:
+        width = next((line.count(",") + 1 for line in fh if line.strip()), None)
+    if width is None or (has_labels and width < 2):
+        return None
+    if has_labels:
+        dtype, ndmin = [("x", np.float64, (width - 1,)), ("y", np.int64)], 1
+    else:
+        dtype, ndmin = np.float64, 2
+    try:
+        with warnings.catch_warnings():
+            # numpy 2.0 may read the label "3.0" as 3 with a DeprecationWarning; int() refuses it.
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, encoding="utf-8", ndmin=ndmin
+            )
+        # Dataset raises DataFormatError, a ValueError, on a non-finite feature.
+        if has_labels:
+            return Dataset(table["x"], table["y"])
+        return Dataset(table)
+    except (ValueError, Warning):
+        return None
+
+
+def _parse_rows(path, has_labels: bool) -> Dataset:
+    """load_dataset's row-by-row parser: the reference result and every error message."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
 
@@ -108,9 +165,12 @@ def load_dataset(path, has_labels: bool = False) -> Dataset:
             label_cell = cells[-1]
             cells = cells[:-1]
             try:
-                labels.append(int(label_cell))
+                label = int(label_cell)
             except ValueError:
                 raise DataFormatError(f"non-integer label {label_cell!r} in row {lineno}") from None
+            if not -(2**63) <= label < 2**63:
+                raise DataFormatError(f"label {label_cell!r} outside int64 in row {lineno}")
+            labels.append(label)
         values = []
         for cell in cells:
             try:
@@ -123,7 +183,7 @@ def load_dataset(path, has_labels: bool = False) -> Dataset:
         rows.append(values)
 
     if not rows:
-        raise DataFormatError(f"empty file: {path}")
+        raise EmptyDatasetError(f"empty file: {path}")
     return Dataset(np.array(rows, dtype=np.float64), np.array(labels) if has_labels else None)
 
 

@@ -32,7 +32,9 @@ def direct_pair_loss(tag: str, m: int, s: int, y: float) -> float:
     if tag == "ee":
         if y > 0:
             return float(d_h)
-        return float(100.0 * math.exp(-d_h / m))
+        if y < 0:
+            return float(100.0 * math.exp(-d_h / m))
+        return 0.0
     if tag == "exph":
         shift = m if y < 0 else 0.0
         return float(math.exp((y * d_h + shift) / m))

@@ -216,6 +216,17 @@ class TestEncode:
         got = read_codes_file(out)
         assert got.n == 0 and got.m == 8
 
+    def test_unreadable_dataset_is_data_error(self, tmp_path, capsys):
+        data = gen(tmp_path)
+        model_path = train(tmp_path, data)
+        out = str(tmp_path / "c.tshc")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1.0,2.0\n\xff,1.0\n")
+        assert run(["encode", str(model_path), str(bad), out]) == 1
+        assert "error: data: 'utf-8' codec can't decode" in capsys.readouterr().err
+        assert run(["encode", str(model_path), str(tmp_path / "nope.csv"), out]) == 1
+        assert "error: data:" in capsys.readouterr().err
+
     def test_truncated_model_is_corrupt(self, tmp_path, capsys):
         data = gen(tmp_path)
         model_path = train(tmp_path, data)

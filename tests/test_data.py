@@ -7,6 +7,7 @@ from scipy.spatial.distance import cdist
 from tshash.data import (
     DataFormatError,
     Dataset,
+    EmptyDatasetError,
     KernelConfig,
     PairSupervision,
     generate_clusters,
@@ -20,6 +21,8 @@ from tshash.data import (
     supervision_from_labels,
     _BANDWIDTH_NEIGHBORS,
     _BLOCK_ROWS,
+    _load_fast,
+    _parse_rows,
     _sample_partners,
     _sq_distances,
 )
@@ -81,6 +84,136 @@ class TestLoadDataset:
     def test_blank_lines_skipped(self, tmp_path):
         ds = load_dataset(write(tmp_path, "1.0,2.0\n\n3.0,4.0\n"))
         assert ds.n == 2
+
+    def test_label_outside_int64_rejected(self, tmp_path):
+        assert load_dataset(write(tmp_path, "1.0,9223372036854775807\n"), True).labels[0] == 2**63 - 1
+        for label in ("9223372036854775808", "-9223372036854775809"):
+            with pytest.raises(DataFormatError, match=f"label '{label}' outside int64 in row 2"):
+                load_dataset(write(tmp_path, f"1.0,0\n1.0,{label}\n"), has_labels=True)
+
+    def test_empty_file_is_its_own_error(self, tmp_path):
+        for text in ("", "\n \t\n", "\r\n\u00a0\n"):
+            with pytest.raises(EmptyDatasetError):
+                load_dataset(write(tmp_path, text))
+
+
+# Inputs on which load_dataset must match _parse_rows, the row-by-row parser.
+EDGE_INPUTS = [
+    b"1,3.0\n", b"1,1e3\n", b"1,1_0\n", b"1,5.\n", b"1,-0\n",
+    b"1_000,2\n", b"0x10,2\n", b"nan,1\n", b"inf,1\n", b"-inf,1\n", b"1e999,1\n", b"-1e999,1\n",
+    b"1,2\x0c\n", b"1,2\x00\n", b"1 2,3\n", b"1,2\n   \n3,4\n", b"1,2\n\t\n3,4\n",
+    b"1,2\n3\n", b"1,2\n3,4,5\n", b"1,2,\n", b"1,2,\n3,4,\n", b"1,,2\n", b",\n", b"1,2\n,\n",
+    b"#1,2\n", b"1,2\n#c\n", b"1,2#c\n", b'"1",2\n', b"1,'2'\n",
+    b"\xef\xbb\xbf1,2\n", b"1,\xff\n", b"1,2\n\xc3\x28,1\n",
+    "١,2\n".encode(), "1,١\n".encode(), "1\u00a0,2\n".encode(), "1,2\u2028\n".encode(),
+    b"1,9223372036854775808\n", b"1,-9223372036854775809\n",
+    b"-0.0,0.0\n-0.0,-0\n",
+    b"5e-324,2.2250738585072014e-308\n4.9406564584124654e-324,-1e-310\n",
+    b"0.30000000000000004,0.1\n1.7976931348623157e+308,-2.718281828459045\n",
+    b"+1,-2\n.5,5.\n", b"1e,2\n", b"--1,2\n", b"1e5,1E-5\n", b"+.5e+1,-.5E-1\n",
+    b"1\n2\n3\n", b"7", b"", b"\n \n\t\n",
+]
+
+# Valid ASCII inputs that the np.loadtxt read must take itself, with and
+# without labels, and on which it too must match _parse_rows.
+FAST_INPUTS = [
+    b"1.0,2.0,3\n4.0,5.0,6\n", b" 1 , 2 \n", b"\t1\t,\t2 \n", b"1,2\n\n3,4\n", b"\n\n1,2\n\n",
+    b"1,2\r\n3,4\r\n", b"1,2\r3,4\r", b"1,2\r\n\r\n3,4", b"1,9223372036854775807\n",
+    b"1,-9223372036854775808\n", b"-0.0,0.0,-0\n-0.0,-0,0\n",
+    b"5e-324,2.2250738585072014e-308,1\n4.9406564584124654e-324,-1e-310,2\n",
+    b"0.30000000000000004,0.1,3\n1.7976931348623157e+308,-2.718281828459045,4\n",
+    b"1,+7\n", b"1,007\n", b"1e5,1E-5,5\n", b"+.5e+1,-5\n", b"7,3\n", b"7,3",
+]
+
+ODD_CELLS = [
+    "", " ", "1_0", "0x10", "nan", "inf", "-inf", "1e999", "3.0", "1e3", "#", '"1"', "'1'",
+    "١", "\ufeff1", "1\u00a0", "+", "-", ".", "1e", "e1", "--1", "1 2", "١٢", "0b1",
+    "9223372036854775808", "-9223372036854775809", "1,", "\x0c1",
+]
+
+
+def random_cell(rng):
+    r = rng.random()
+    if r < 0.45:
+        value = float(rng.standard_normal()) * 10.0 ** int(rng.integers(-320, 300))
+        cell = repr(value)
+    elif r < 0.85:
+        cell = str(int(rng.integers(-(2**63), 2**63 - 1, endpoint=True)) >> int(rng.integers(0, 64)))
+    else:
+        cell = ODD_CELLS[int(rng.integers(len(ODD_CELLS)))]
+    if rng.random() < 0.1:
+        cell = " " * int(rng.integers(1, 3)) + cell + "\t" * int(rng.integers(0, 2))
+    return cell
+
+
+def random_csv(rng) -> bytes:
+    width = int(rng.integers(1, 5))
+    lines = []
+    for _ in range(int(rng.integers(0, 7))):
+        if rng.random() < 0.1:
+            lines.append(" " * int(rng.integers(0, 3)))
+            continue
+        w = width if rng.random() < 0.9 else int(rng.integers(1, 6))
+        lines.append(",".join(random_cell(rng) for _ in range(w)))
+    end = ["\n", "\r\n", "\r"][int(rng.integers(3))]
+    return (end.join(lines) + (end if rng.random() < 0.8 else "")).encode()
+
+
+def matches_row_parser(path, has_labels) -> bool:
+    """Check load_dataset against _parse_rows on one file; True if the fast read took it.
+
+    Where _parse_rows raises, load_dataset raises the same type and text;
+    otherwise both return the same features bit for bit and the same labels.
+    """
+    fast = _load_fast(path, has_labels)
+    try:
+        want = _parse_rows(path, has_labels)
+    except Exception as exc:
+        assert fast is None
+        with pytest.raises(type(exc)) as got:
+            load_dataset(path, has_labels)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return False
+    for ds in [load_dataset(path, has_labels)] + ([fast] if fast is not None else []):
+        assert ds.features.dtype == np.float64 and ds.features.shape == want.features.shape
+        assert np.array_equal(ds.features.view(np.uint64), want.features.view(np.uint64))
+        if has_labels:
+            assert ds.labels.dtype == np.int64 and np.array_equal(ds.labels, want.labels)
+        else:
+            assert ds.labels is None
+    return fast is not None
+
+
+class TestFastReadMatchesRowParser:
+    @pytest.mark.parametrize("has_labels", [False, True])
+    @pytest.mark.parametrize("raw", EDGE_INPUTS)
+    def test_edge_inputs(self, tmp_path, raw, has_labels):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        matches_row_parser(str(path), has_labels)
+
+    @pytest.mark.parametrize("has_labels", [False, True])
+    @pytest.mark.parametrize("raw", FAST_INPUTS)
+    def test_plain_files_take_the_fast_read(self, tmp_path, monkeypatch, raw, has_labels):
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        assert matches_row_parser(str(path), has_labels)
+        monkeypatch.setattr("tshash.data._parse_rows", None)  # load_dataset must not need it
+        load_dataset(str(path), has_labels)
+
+    def test_random_inputs(self, tmp_path):
+        rng = np.random.default_rng(1212)
+        path = tmp_path / "data.csv"
+        fast = 0
+        for _ in range(400):
+            raw = random_csv(rng)
+            path.write_bytes(raw)
+            for has_labels in (False, True):
+                try:
+                    fast += matches_row_parser(str(path), has_labels)
+                except AssertionError as exc:
+                    raise AssertionError(f"{raw!r}, has_labels={has_labels}") from exc
+        assert fast >= 50  # the fast read took a share of the random files (116 of 800 here)
 
 
 class TestDataset:

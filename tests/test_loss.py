@@ -61,6 +61,16 @@ class TestPairLoss:
             )
 
     @pytest.mark.parametrize("tag", LOSS_TAGS)
+    @pytest.mark.parametrize("y", [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_matches_direct_formulas_at_every_affinity(self, tag, y):
+        for m in (1, 2, 7, 32):
+            kind = LossKind(tag, m)
+            for s in range(-m, m + 1, 2):
+                assert pair_loss(kind, s, y) == pytest.approx(
+                    oracle.direct_pair_loss(tag, m, s, y), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("tag", LOSS_TAGS)
     def test_depends_only_on_inner_product(self, tag):
         # two code pairs with equal s must have equal loss
         rng = np.random.default_rng(11)

@@ -5,7 +5,9 @@ Marked slow, so the default test run deselects it; run it with
 acceptance criteria, that the low-rank bit problem's spectral step finds
 the true minimum eigenvalue, that the objective trace is exact and never
 increases, that training is deterministic, and that building the
-supervision allocates no pair array.
+supervision allocates no pair array. It also checks that reading a
+50,000-row dataset CSV allocates about twice its result, not a Python
+object per cell.
 """
 
 import tracemalloc
@@ -22,7 +24,7 @@ from tshash.codegen import (
     pairwise_objective,
     spectral_relax,
 )
-from tshash.data import generate_clusters, supervision_from_labels
+from tshash.data import generate_clusters, load_dataset, supervision_from_labels
 from tshash.loss import LossKind, quadratic_coeffs
 
 pytestmark = pytest.mark.slow
@@ -46,6 +48,26 @@ def test_full_label_supervision_allocates_no_pairs():
         tracemalloc.stop()
     assert len(sup) == N * (N - 1) // 2
     assert peak < 1 << 20  # all pairs as int64 i, j and float64 y would take 48 MB
+
+
+def test_dataset_read_allocates_no_object_per_cell(tmp_path):
+    rows, d = 50_000, 8
+    rng = np.random.default_rng(50_000)
+    x, y = rng.standard_normal((rows, d)), rng.integers(0, 10, rows)
+    path = tmp_path / "db.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        for row, label in zip(x.tolist(), y.tolist()):
+            fh.write(",".join(map(repr, row)) + f",{label}\n")
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path, has_labels=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.features, x) and np.array_equal(ds.labels, y)
+    # The result holds 3.4 MiB. The np.loadtxt read peaks at 7.5 MiB; the
+    # row parser, with a float object per cell, at 31 MiB.
+    assert peak < 10 << 20
 
 
 def dense_matrix(labels, rest, kind, block=500):
