@@ -208,9 +208,9 @@ def cmd_query(args) -> int:
         out = sys.stdout
         out.write("query,rank,id,distance\n")
         for qi in range(query_codes.n):
-            order, dists = retrieval._ranked_order(db, query_codes.words[qi])
-            for pos, row in enumerate(order[: args.k]):
-                out.write(f"{qi},{pos},{row},{dists[row]}\n")
+            order, dists = retrieval._ranked_order(db, query_codes.words[qi], args.k)
+            for pos, (row, dist) in enumerate(zip(order.tolist(), dists[order].tolist())):
+                out.write(f"{qi},{pos},{row},{dist}\n")
     return 0
 
 

@@ -273,6 +273,16 @@ def save_model(model: HashModel, path) -> None:
         fh.write("\n")
 
 
+def _number_rows(rows) -> bool:
+    """Whether rows is a list of lists of JSON numbers.
+
+    json reads a number as int or float; a bool or a string is not one.
+    """
+    return isinstance(rows, list) and all(
+        isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in rows
+    )
+
+
 def load_model(path) -> HashModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -280,21 +290,28 @@ def load_model(path) -> HashModel:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"corrupt model {path}: {exc}") from None
     try:
+        # An int and not a bool: `true == 1` and `int("3")` would pass them otherwise.
+        for name in ("version", "m", "d"):
+            if type(doc[name]) is not int:
+                raise ModelFormatError(f"corrupt model {path}: {name} must be a JSON integer")
         if doc["version"] != MODEL_VERSION:
             raise ModelFormatError(f"unsupported model version {doc['version']}")
         mode = doc["feature_mode"]
         kcfg = None
         if mode == "kernel":
+            if not _number_rows(doc["anchors"]):
+                raise ModelFormatError(f"corrupt model {path}: anchors must be rows of JSON numbers")
+            if type(doc["bandwidth"]) not in (int, float):
+                raise ModelFormatError(f"corrupt model {path}: bandwidth must be a JSON number")
             kcfg = KernelConfig(np.array(doc["anchors"], dtype=np.float64), doc["bandwidth"])
         w = [fn["w"] for fn in doc["functions"]]
         b = [fn["b"] for fn in doc["functions"]]
         constant = [fn.get("constant", False) for fn in doc["functions"]]
-        # json reads a number as int or float; a bool or a string is not one.
-        if not all(isinstance(row, list) and all(type(x) in (int, float) for x in row) for row in w + [b]):
+        if not _number_rows(w + [b]):
             raise ModelFormatError(f"corrupt model {path}: w and b must hold JSON numbers")
         if not all(type(c) is bool for c in constant):
             raise ModelFormatError(f"corrupt model {path}: constant must be true or false")
-        model = HashModel(np.array(w, dtype=np.float64).T, b, constant, mode, int(doc["d"]), kcfg)
+        model = HashModel(np.array(w, dtype=np.float64).T, b, constant, mode, doc["d"], kcfg)
         if model.m != doc["m"]:
             raise ModelFormatError(f"corrupt model {path}: m={doc['m']} but {model.m} functions")
     except ModelFormatError:

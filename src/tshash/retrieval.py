@@ -35,6 +35,10 @@ __all__ = [
 
 DEFAULT_K = 300
 DEFAULT_RADIUS = 2
+# Top-k selection takes a dozen numpy calls, about 20 us whatever N is; one
+# radix sort of all N costs about 5 ns a point. The two met between 2,000 and
+# 10,000 points (m = 8 to 64, 2-core Xeon), so smaller databases sort all N.
+_SELECT_MIN_N = 4096
 
 
 @dataclass
@@ -64,6 +68,12 @@ def _sorted_unique(ids) -> np.ndarray:
         values = arr.astype(np.float64)
         if not (np.isfinite(values).all() and (values == np.trunc(values)).all()):
             raise ValueError("relevant ids must be integers")
+    # Always a copy, even of sorted int64 ids: the caller's array is never
+    # aliased, and load_ground_truth's parsed lines are freed as one block
+    # that each query's N-length ranking buffers then reuse. Held as given,
+    # they leave those buffers at the heap top, which glibc trims and faults
+    # back in on every query: `evaluate` of 1,000 queries over 50,000 points
+    # took 1.0 s instead of 0.6 s (2-core Xeon, about 165,000 page faults).
     ids = arr.astype(np.int64)
     if (ids[1:] > ids[:-1]).all():
         return ids
@@ -80,7 +90,8 @@ class GroundTruth:
     Each query's ids are held as a sorted int64 array without repeats; the
     constructor accepts any iterables of integer ids and raises ValueError
     for a boolean mask or a fractional or non-finite id. Ids that are already
-    strictly increasing are not sorted again. A query's ids may be empty;
+    strictly increasing are not sorted again. The ids are always copied: a
+    caller's array is never held or changed. A query's ids may be empty;
     such queries are excluded from ranking-quality averages but still
     counted in the report.
     """
@@ -132,21 +143,60 @@ def hamming_distances(db: CodeDatabase, query_words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words ^ q).sum(axis=1, dtype=np.min_scalar_type(db.m))
 
 
-def _ranked_order(db: CodeDatabase, query_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kth_distance(dists: np.ndarray, k: int) -> tuple[int, int]:
+    """The smallest t with at least k distances <= t, and how many there are.
+
+    Gallops up from the minimum, then bisects. Every probe stays within
+    [min, max]: numpy 2.0 may reject a Python int outside the key dtype.
+    """
+    lo, top = int(dists.min()), int(dists.max())
+    t, step = lo, 1
+    count = np.count_nonzero(dists <= t)
+    while count < k:
+        lo = t + 1
+        t = min(t + step, top)
+        step *= 2
+        count = np.count_nonzero(dists <= t)
+    # The answer lies in [lo, t], and count is the count at t.
+    while lo < t:
+        mid = (lo + t) // 2
+        c = np.count_nonzero(dists <= mid)
+        if c >= k:
+            t, count = mid, c
+        else:
+            lo = mid + 1
+    return t, count
+
+
+def _ranked_order(
+    db: CodeDatabase, query_words: np.ndarray, k: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ids by ascending distance, id-ascending on ties, and every distance.
+
+    With k None the order covers all N points. With k given it is the first
+    k of that order: the k nearest lie within the k-th smallest distance t,
+    so only the points within t are sorted, unless they are more than half
+    of N or N is below _SELECT_MIN_N, when sorting all N costs no more.
+    """
     dists = hamming_distances(db, query_words)
+    if k and dists.size >= _SELECT_MIN_N and 2 * k <= dists.size:
+        t, count = _kth_distance(dists, k)
+        if 2 * count <= dists.size:
+            cand = np.flatnonzero(dists <= t)  # ascending ids: the stable sort keeps ties in id order
+            return cand[np.argsort(dists[cand], kind="stable")[:k]], dists
     # Distances are at most m; a stable sort of 8- or 16-bit keys is a radix sort.
-    return np.argsort(dists, kind="stable"), dists
+    return np.argsort(dists, kind="stable")[:k], dists
 
 
 def rank(db: CodeDatabase, query_words: np.ndarray, k: int) -> np.ndarray:
     """Top-k database ids by ascending distance, id-ascending on ties."""
     if not 0 <= k <= db.n:
         raise ValueError(f"k={k} outside [0, N={db.n}]")
-    order, _ = _ranked_order(db, query_words)
-    return order[:k]
+    order, _ = _ranked_order(db, query_words, k)
+    return order
 
 
-def _query_stats(db: CodeDatabase, qwords, relevant, k, radius, m):
+def _query_stats(db: CodeDatabase, qwords, relevant, k, radius, m, rel_db, one_to_n):
     """AP, P@k, radius precision and the PR-curve precision and recall rows of
     one query whose relevant set is nonempty.
 
@@ -154,21 +204,23 @@ def _query_stats(db: CodeDatabase, qwords, relevant, k, radius, m):
     distances, read through the sorted ids, give the PR counts, and hits,
     their 0-based ranks in ascending order, give AP and P@k. The i-th hit
     is preceded by i relevant points, and searchsorted(hits, k) of them lie
-    in the top k, so no N-length cumulative sum is needed.
+    in the top k, so no N-length cumulative sum is needed. `rel_db` is an
+    all-False mask of N entries, set here and cleared before returning;
+    `one_to_n` is the float64 arange(1, N + 1). The caller allocates both once.
     """
     order, dists = _ranked_order(db, qwords)
     # n_ret[t] points lie within distance t, n_rel_ret[t] of them relevant.
     # The order sorts the distances, so n_ret is a search of the sorted keys.
     thresholds = np.arange(m + 1, dtype=dists.dtype)
-    n_ret = np.searchsorted(np.take(dists, order), thresholds, side="right").astype(np.float64)
+    n_ret = np.searchsorted(dists, thresholds, side="right", sorter=order).astype(np.float64)
     n_rel_ret = np.cumsum(np.bincount(np.take(dists, relevant), minlength=m + 1)).astype(np.float64)
     t = min(radius, m)
     prec_r2 = float(n_rel_ret[t] / n_ret[t]) if n_ret[t] else 0.0
 
-    rel_db = np.zeros(db.n, dtype=bool)
     rel_db[relevant] = True
     hits = np.flatnonzero(np.take(rel_db, order))
-    ap = float(np.mean(np.arange(1, hits.size + 1) / (hits + 1.0)))
+    rel_db[relevant] = False
+    ap = float(np.mean(one_to_n[: hits.size] / (hits + 1.0)))
     p_at_k = float(np.searchsorted(hits, k) / k)
 
     prec_curve = np.divide(n_rel_ret, n_ret, out=np.zeros(m + 1), where=n_ret > 0)
@@ -214,9 +266,10 @@ def evaluate(
 
     ap, p_at_k, prec_r2 = np.zeros(nq), np.zeros(nq), np.zeros(nq)
     prec, recall = np.zeros((nq, m + 1)), np.zeros((nq, m + 1))
+    rel_db, one_to_n = np.zeros(db.n, dtype=bool), np.arange(1, db.n + 1, dtype=np.float64)
     for qi in np.flatnonzero(scored):
         ap[qi], p_at_k[qi], prec_r2[qi], prec[qi], recall[qi] = _query_stats(
-            db, queries.words[qi], gt.relevant[qi], k, radius, m
+            db, queries.words[qi], gt.relevant[qi], k, radius, m, rel_db, one_to_n
         )
 
     prec_curve = prec[scored].mean(axis=0)

@@ -10,7 +10,7 @@ import pytest
 import tshash
 from tshash import cli
 from tshash.hashfn import encode, load_model
-from tshash.packed import read_codes_file
+from tshash.packed import pack_signs, read_codes_file, write_codes_file
 from tshash.data import load_dataset
 
 
@@ -336,6 +336,26 @@ class TestQuery:
         assert len(lines) == 1 + 60 * 3
         first = lines[1].split(",")
         assert first[0] == "0" and first[3] == "0"  # self-match at distance 0
+
+    @pytest.mark.parametrize("n", [40, 5000])  # 5000 is past retrieval._SELECT_MIN_N
+    def test_k_cuts_through_tied_distances(self, tmp_path, capsys, n):
+        # Three distinct codes over n points: every distance is shared by
+        # many points, so k=12 ends inside a run of ties.
+        rng = np.random.default_rng(12)
+        pool = rng.choice([-1, 1], size=(3, 16)).astype(np.int8)
+        db_signs = pool[rng.integers(0, 3, n)]
+        q_signs = np.vstack([pool, -pool[:1]])
+        db, qs = tmp_path / "db.tshc", tmp_path / "q.tshc"
+        write_codes_file(db, pack_signs(db_signs))
+        write_codes_file(qs, pack_signs(q_signs))
+        assert run(["query", str(db), str(qs), "--k", "12"]) == 0
+        want = ["query,rank,id,distance"]
+        for qi, q in enumerate(q_signs):
+            dists = (db_signs != q).sum(axis=1)
+            ranked = sorted(range(n), key=lambda i: (dists[i], i))[:12]
+            assert dists[ranked[-1]] in np.delete(dists, ranked)  # the cut splits a run of ties
+            want += [f"{qi},{pos},{i},{dists[i]}" for pos, i in enumerate(ranked)]
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
 
     def test_closed_pipe_is_not_an_error(self, tmp_path, capsys, monkeypatch):
         *_, codes, gt, prefix = pipeline(tmp_path)

@@ -333,6 +333,31 @@ class TestModelSerialization:
         assert model.weights.tolist() == [[2.0]] and model.biases.tolist() == [-1.0]
         assert model.constant.tolist() == [False]
 
+    def test_wrongly_typed_header_fields_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        kcfg = KernelConfig(np.array([[0.0, 1.0], [2.0, 3.0]]), 1.5)
+        save_model(HashModel(np.ones((2, 1)), [0.5], [False], "kernel", 2, kcfg), path)
+        good = json.loads(path.read_text())
+        bad_fields = (
+            {"version": True}, {"version": 1.0}, {"version": "1"}, {"version": None},
+            {"m": 1.0}, {"m": True}, {"m": "1"}, {"m": [1]},
+            {"d": "2"}, {"d": 2.9}, {"d": 2.0}, {"d": False}, {"d": None},
+            {"bandwidth": "1.5"}, {"bandwidth": True}, {"bandwidth": None}, {"bandwidth": [1.5]},
+            {"anchors": [["0", "1"], ["2", "3"]]}, {"anchors": [[False, True], [True, True]]},
+            {"anchors": [[0.0, None], [2.0, 3.0]]}, {"anchors": [0.0, 1.0]}, {"anchors": "[[0, 1]]"},
+            {"anchors": [[[0.0], [1.0]], [[2.0], [3.0]]]},
+        )
+        for fields in bad_fields:
+            doc = dict(good, **fields)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(ModelFormatError, match="corrupt model"):
+                load_model(path)
+        # Integer anchors and bandwidth are JSON numbers too.
+        path.write_text(json.dumps(dict(good, anchors=[[0, 1], [2, 3]], bandwidth=2)), encoding="utf-8")
+        model = load_model(path)
+        assert model.kernel_cfg.anchors.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert model.kernel_cfg.bandwidth == 2 and model.d == 2 and type(model.d) is int
+
     def test_function_count_mismatch_rejected(self, tmp_path):
         ds, _, model = small_model(seed=59)
         path = tmp_path / "model.json"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tshash import retrieval
 from tshash.packed import pack_signs
 from tshash.retrieval import (
     CodeDatabase,
@@ -111,6 +112,29 @@ class TestRank:
             got = rank(db, q_codes.words[qi], 300)
             assert got.tolist() == want
 
+    # m=300 ranks on 16-bit keys. The database holds 1, 3 or n distinct
+    # codes, so runs of tied distances cross the k-th nearest distance. The
+    # selection runs at every n here, not only from _SELECT_MIN_N points up.
+    @pytest.mark.parametrize("m", [1, 3, 8, 64, 65, 300])
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 2000])
+    def test_top_k_equals_prefix_of_full_sort(self, m, n, monkeypatch):
+        monkeypatch.setattr(retrieval, "_SELECT_MIN_N", 0)
+        rng = np.random.default_rng(1000 * m + n)
+        for distinct in sorted({1, 3, n}):
+            pool = rng.choice([-1, 1], size=(distinct, m)).astype(np.int8)
+            db = CodeDatabase(packed_from_signs(pool[rng.integers(0, distinct, n)]))
+            queries = packed_from_signs(rng.choice([-1, 1], size=(2, m)).astype(np.int8))
+            for qwords in [*queries.words, db.codes.words[0]]:
+                full = np.argsort(hamming_distances(db, qwords), kind="stable")
+                for k in sorted({0, 1, 2, 10, n // 2, n - 1, n} & set(range(n + 1))):
+                    got = rank(db, qwords, k)
+                    assert got.dtype == full.dtype and np.array_equal(got, full[:k]), (distinct, k)
+
+    def test_zero_k_on_empty_database(self):
+        db = CodeDatabase(packed_from_signs(np.ones((0, 5))))
+        got = rank(db, packed_from_signs([[1] * 5]).words[0], 0)
+        assert got.size == 0 and got.dtype == np.intp
+
 
 class TestEvaluate:
     def test_ap_worked_example(self):
@@ -207,6 +231,7 @@ class TestEvaluate:
         for codes in databases:
             db = CodeDatabase(codes)
             n = db.n
+            rel_db, one_to_n = np.zeros(n, dtype=bool), np.arange(1, n + 1, dtype=np.float64)
             relevant_sets = [
                 np.empty(0, dtype=np.int64),
                 np.arange(n),
@@ -223,9 +248,10 @@ class TestEvaluate:
                                 # radius precision is the 0 it starts from.
                                 assert want == (None, None, 0.0, None, None)
                                 continue
-                            got = _query_stats(db, qwords, relevant, k, radius, m)
+                            got = _query_stats(db, qwords, relevant, k, radius, m, rel_db, one_to_n)
                             for g, w in zip(got, want):
                                 assert np.array_equal(g, w), (n, k, radius)
+                            assert not rel_db.any()  # cleared for the next query
 
     def test_metric_bounds(self):
         rng = np.random.default_rng(7)
@@ -280,6 +306,16 @@ class TestGroundTruthIO:
         for bad in (np.array([1.5, 2.0]), {0.5, 3}, [np.inf], [True, False], np.array([True, False])):
             with pytest.raises(ValueError, match="integers"):
                 GroundTruth([bad])
+
+    def test_ids_are_copied_and_caller_array_unchanged(self):
+        # Sorted int64 ids are copied too: evaluate's speed relies on it (see _sorted_unique).
+        for given in (np.array([2, 5, 9], dtype=np.int64), np.array([9, 2, 5, 2], dtype=np.int64),
+                      np.array([2, 5, 9], dtype=np.int32)):
+            before = given.copy()
+            held = GroundTruth([given]).relevant[0]
+            assert held.tolist() == [2, 5, 9] and held.dtype == np.int64
+            assert not np.shares_memory(held, given)
+            assert np.array_equal(given, before)
 
     def test_negative_id_rejected(self, tmp_path):
         path = tmp_path / "gt.txt"

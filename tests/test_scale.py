@@ -7,7 +7,8 @@ the true minimum eigenvalue, that the objective trace is exact and never
 increases, that training is deterministic, and that building the
 supervision allocates no pair array. It also checks that reading a
 50,000-row dataset CSV allocates about twice its result, not a Python
-object per cell.
+object per cell, and that top-k ranking over 50,000 codes equals the
+prefix of the full stable sort.
 """
 
 import tracemalloc
@@ -26,6 +27,8 @@ from tshash.codegen import (
 )
 from tshash.data import generate_clusters, load_dataset, supervision_from_labels
 from tshash.loss import LossKind, quadratic_coeffs
+from tshash.packed import pack_signs
+from tshash.retrieval import CodeDatabase, hamming_distances, rank
 
 pytestmark = pytest.mark.slow
 
@@ -114,3 +117,19 @@ def test_trace_exact_and_runs_identical(sup, tag):
 
     again, _ = learn_codes(sup, cfg)
     assert codes.bits.tobytes() == again.bits.tobytes()
+
+
+def test_top_k_at_fifty_thousand_points():
+    # Codes near 10 cluster centers, as a trained model gives them, and a
+    # few exact duplicates: the nearest distances come in long tied runs.
+    rng = np.random.default_rng(50_000)
+    centers = rng.choice([-1, 1], size=(10, 64)).astype(np.int8)
+    signs = centers[rng.integers(0, 10, 50_000)]
+    signs = np.where(rng.random(signs.shape) < 0.1, -signs, signs)
+    db = CodeDatabase(pack_signs(signs))
+    queries = pack_signs(np.vstack([centers, signs[:5]]))
+    for qwords in queries.words:
+        full = np.argsort(hamming_distances(db, qwords), kind="stable")
+        for k in (1, 10, 100, 5_000, 25_000, 25_001, 50_000):
+            got = rank(db, qwords, k)
+            assert got.dtype == full.dtype and np.array_equal(got, full[:k]), k
