@@ -3,6 +3,9 @@
 This module needs numpy alone. Pairwise distances are computed by
 _sq_distances in row blocks, one dimension at a time, which gives exactly
 the values of scipy's cdist, so serving commands never import scipy.
+The bandwidth estimate and distance supervision read the distances among
+the training points one row block at a time (_self_distance_blocks) and
+keep only what they select from each block, so no n x n matrix is built.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ __all__ = [
 
 # Rows of x per block of _sq_distances; its scratch buffer is this many rows by q.
 _BLOCK_ROWS = 256
+
+# Entries per block of _self_distance_blocks, which takes max(1, this // n) rows
+# of the n x n distances at a time (512 KiB of float64).
+_BLOCK_ENTRIES = 1 << 16
 
 # Bytes per block when load_dataset scans a CSV, and the only bytes its
 # np.loadtxt read accepts: ASCII digits, signs, points, exponents, commas
@@ -370,12 +377,21 @@ def _sq_distances(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _self_distances(features: np.ndarray) -> np.ndarray:
-    """n x n Euclidean distances between the rows, with inf on the diagonal."""
-    dist = _sq_distances(features, features)
-    np.sqrt(dist, out=dist)
-    np.fill_diagonal(dist, np.inf)
-    return dist
+def _self_distance_blocks(features: np.ndarray):
+    """Yield (start, block): the Euclidean distances of rows start.. to every row.
+
+    A block holds max(1, _BLOCK_ENTRIES // n) rows (fewer in the last one),
+    with inf at each row's own column. Each is a fresh array that the caller
+    may reorder in place.
+    """
+    n = features.shape[0]
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        block = _sq_distances(features[start : start + step], features)
+        np.sqrt(block, out=block)
+        rows = np.arange(block.shape[0])
+        block[rows, rows + start] = np.inf
+        yield start, block
 
 
 def _quantile_index(percentile: float, count: int) -> int:
@@ -401,11 +417,16 @@ def supervision_from_distance(
         raise ValueError("need at least 2 points for distance supervision")
     i, j = _sample_partners(ds.n, pairs_per_point, seed)
 
-    dist = _self_distances(ds.features)
-    pair_dist = dist[i, j]
     kth = _quantile_index(percentile, ds.n - 1)
-    dist.partition(kth, axis=1)
-    cutoff = dist[:, kth]
+    pair_dist = np.empty(i.size)
+    cutoff = np.empty(ds.n)
+    for start, block in _self_distance_blocks(ds.features):
+        stop = start + block.shape[0]
+        # The pairs are sorted by i, so the block's rows hold one run of them.
+        lo, hi = np.searchsorted(i, (start, stop))
+        pair_dist[lo:hi] = block[i[lo:hi] - start, j[lo:hi]]
+        block.partition(kth, axis=1)
+        cutoff[start:stop] = block[:, kth]
     y = np.where(pair_dist <= np.maximum(cutoff[i], cutoff[j]), 1.0, -1.0)
     return PairSupervision(ds.n, i, j, y)
 
@@ -448,13 +469,16 @@ def rbf_bandwidth(ds: Dataset, t: float) -> float:
     if t <= 0:
         raise ValueError("t must be positive")
     k = min(_BANDWIDTH_NEIGHBORS, ds.n - 1)
-    dist = _self_distances(ds.features)
-    # Sort only the k smallest of each row. The view has the strides of a
-    # full sorted copy, so the mean sums in the same order.
-    dist.partition(k - 1, axis=1)
-    nearest = dist[:, :k]
-    nearest.sort(axis=1)
-    mean_dist = float(nearest.mean())
+    # Each row's k smallest, sorted, go into the first k columns of an
+    # n x (k+1) buffer. That view is strided like the k-slice of a fully
+    # sorted n x n matrix, so its mean sums in the same order, bit for bit.
+    nearest = np.empty((ds.n, k + 1))
+    for start, block in _self_distance_blocks(ds.features):
+        block.partition(k - 1, axis=1)
+        part = block[:, :k]
+        part.sort(axis=1)
+        nearest[start : start + block.shape[0], :k] = part
+    mean_dist = float(nearest[:, :k].mean())
     if mean_dist == 0.0:
         raise ValueError("degenerate bandwidth: all points coincide")
     return t * mean_dist
@@ -473,8 +497,9 @@ class KernelConfig:
             raise DataFormatError("anchors must be a non-empty 2-D matrix")
         if not np.isfinite(self.anchors).all():
             raise DataFormatError("anchors contain non-finite values")
-        if not (self.bandwidth > 0):
-            raise DataFormatError("bandwidth must be positive")
+        # An infinite bandwidth makes every feature 1, and so every code the same.
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise DataFormatError("bandwidth must be positive and finite")
         self.anchors.flags.writeable = False
 
     @property

@@ -236,6 +236,19 @@ class TestEncode:
         assert code == 1
         assert "corrupt model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_bandwidth_is_model_error(self, tmp_path, capsys, token):
+        data = gen(tmp_path)
+        model_path = train(tmp_path, data)
+        doc = json.loads(model_path.read_text())
+        doc["bandwidth"] = float(token.replace("Infinity", "inf"))
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert f'"bandwidth": {token}' in model_path.read_text()
+        code = run(["encode", str(model_path), str(data), str(tmp_path / "c.tshc"), "--labeled"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model: corrupt model") and "bandwidth" in err
+
     def test_dimension_mismatch_is_runtime_error(self, tmp_path, capsys):
         data = gen(tmp_path)
         model_path = train(tmp_path, data)

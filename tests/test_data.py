@@ -24,6 +24,7 @@ from tshash.data import (
     _load_fast,
     _parse_rows,
     _sample_partners,
+    _self_distance_blocks,
     _sq_distances,
 )
 
@@ -541,6 +542,11 @@ class TestKernelFeatures:
         feats = kernel_matrix(rng.normal(size=(20, 3)), cfg)
         assert np.all(feats > 0.0) and np.all(feats <= 1.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_non_positive_or_non_finite_bandwidth_rejected(self, sigma):
+        with pytest.raises(DataFormatError, match="bandwidth must be positive and finite"):
+            self.cfg([[0.0, 1.0]], sigma)
+
     def test_zero_width_anchors_rejected(self):
         with pytest.raises(DataFormatError):
             self.cfg(np.empty((3, 0)), 1.0)
@@ -604,3 +610,59 @@ class TestDistancesMatchCdist:
             sup = supervision_from_distance(ds, percentile, 20, seed=d)
             i, j, y = sup.arrays()
             assert np.array_equal(y, oracle.cdist_distance_labels(ds.features, percentile, i, j))
+
+
+def coincident_points(n, d=3, seed=0):
+    """n points on 3 distinct sites: zero distances, and ties at every cutoff."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(3, d))[np.arange(n) % 3]
+
+
+class TestDistanceBlocks:
+    """Blocks of 1 to 3 rows, with a ragged last block, against a full cdist."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def rows(self, request, monkeypatch):
+        def set_rows(n):
+            # One row a block comes from a budget below n, as at n > 2**16.
+            budget = request.param * n if request.param > 1 else 1
+            monkeypatch.setattr("tshash.data._BLOCK_ENTRIES", budget)
+            return request.param
+
+        return set_rows
+
+    @pytest.mark.parametrize("n", [2, 11])
+    def test_blocks_tile_the_distance_matrix(self, rows, n):
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        step = rows(n)
+        blocks = list(_self_distance_blocks(x))
+        assert [start for start, _ in blocks] == list(range(0, n, step))
+        want = cdist(x, x)
+        np.fill_diagonal(want, np.inf)
+        assert np.array_equal(np.vstack([block for _, block in blocks]), want)
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 101, 102])
+    @pytest.mark.parametrize("coincident", [False, True], ids=["random", "coincident"])
+    def test_bandwidth(self, rows, n, coincident):
+        # Up to n = 101, k = n - 1: every finite column of a row is a neighbour.
+        x = coincident_points(n) if coincident else np.random.default_rng(n).normal(size=(n, 3))
+        rows(n)
+        want = oracle.cdist_bandwidth(x, 1.3, min(_BANDWIDTH_NEIGHBORS, n - 1))
+        assert rbf_bandwidth(Dataset(x), 1.3) == want
+
+    @pytest.mark.parametrize("n", [2, 11, 40])
+    @pytest.mark.parametrize("coincident", [False, True], ids=["random", "coincident"])
+    def test_distance_supervision(self, rows, n, coincident):
+        x = coincident_points(n) if coincident else np.random.default_rng(n).normal(size=(n, 3))
+        step = rows(n)
+        last_start = (n - 1) // step * step
+        ds = Dataset(x)
+        for ppp in sorted({1, 3, n - 1} & set(range(1, n))):
+            # 99.9 puts the cutoff at the last finite column of each row.
+            for percentile in (2.0, 30.0, 99.9):
+                sup = supervision_from_distance(ds, percentile, ppp, seed=n + ppp)
+                i, j, y = sup.arrays()
+                assert np.array_equal(y, oracle.cdist_distance_labels(x, percentile, i, j))
+        # All pairs: the last block holds rows with partners whenever it has two rows.
+        if n - last_start >= 2:
+            assert i.max() >= last_start

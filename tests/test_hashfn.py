@@ -358,6 +358,19 @@ class TestModelSerialization:
         assert model.kernel_cfg.anchors.tolist() == [[0.0, 1.0], [2.0, 3.0]]
         assert model.kernel_cfg.bandwidth == 2 and model.d == 2 and type(model.d) is int
 
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_bandwidth_rejected(self, tmp_path, token):
+        # Python's json reads these tokens as floats; an infinite bandwidth
+        # would give every point the same code.
+        path = tmp_path / "model.json"
+        kcfg = KernelConfig(np.array([[0.0, 1.0], [2.0, 3.0]]), 1.5)
+        save_model(HashModel(np.ones((2, 1)), [0.5], [False], "kernel", 2, kcfg), path)
+        text = path.read_text()
+        assert text.count('"bandwidth": 1.5') == 1
+        path.write_text(text.replace('"bandwidth": 1.5', f'"bandwidth": {token}'), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="corrupt model .*bandwidth must be positive and finite"):
+            load_model(path)
+
     def test_function_count_mismatch_rejected(self, tmp_path):
         ds, _, model = small_model(seed=59)
         path = tmp_path / "model.json"

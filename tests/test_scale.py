@@ -7,8 +7,9 @@ the true minimum eigenvalue, that the objective trace is exact and never
 increases, that training is deterministic, and that building the
 supervision allocates no pair array. It also checks that reading a
 50,000-row dataset CSV allocates about twice its result, not a Python
-object per cell, and that top-k ranking over 50,000 codes equals the
-prefix of the full stable sort.
+object per cell, that top-k ranking over 50,000 codes equals the
+prefix of the full stable sort, and that the bandwidth estimate and
+distance supervision at n = 5000 build no n x n distance matrix.
 """
 
 import tracemalloc
@@ -25,7 +26,13 @@ from tshash.codegen import (
     pairwise_objective,
     spectral_relax,
 )
-from tshash.data import generate_clusters, load_dataset, supervision_from_labels
+from tshash.data import (
+    generate_clusters,
+    load_dataset,
+    rbf_bandwidth,
+    supervision_from_distance,
+    supervision_from_labels,
+)
 from tshash.loss import LossKind, quadratic_coeffs
 from tshash.packed import pack_signs
 from tshash.retrieval import CodeDatabase, hamming_distances, rank
@@ -71,6 +78,25 @@ def test_dataset_read_allocates_no_object_per_cell(tmp_path):
     # The result holds 3.4 MiB. The np.loadtxt read peaks at 7.5 MiB; the
     # row parser, with a float object per cell, at 31 MiB.
     assert peak < 10 << 20
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda ds: rbf_bandwidth(ds, 1.0), lambda ds: supervision_from_distance(ds, 2.0, 20, seed=1)],
+    ids=["bandwidth", "distance_supervision"],
+)
+def test_self_distances_in_row_blocks(build):
+    ds = generate_clusters(5000, CLASSES, 8, 0.3, seed=5000)
+    tracemalloc.start()
+    try:
+        build(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Measured peaks: 5.6 MiB (bandwidth) and 4.9 MiB (supervision, 20
+    # partners a point). The n x n distance matrix alone is 191 MiB; with it
+    # the two peaked at 200.8 and 202.3 MiB.
+    assert peak < 16 << 20
 
 
 def dense_matrix(labels, rest, kind, block=500):
