@@ -6,8 +6,9 @@ encode (hash a CSV into packed codes), eval (retrieval metrics), query
 1 runtime errors. All randomness flows from the --seed flag, split per
 role with a counter-based splitter, so identical command lines produce
 byte-identical output files. Every subcommand runs on one thread; train
-and eval accept --threads and ignore it. Only train loads
-scipy; every other subcommand runs on numpy alone.
+and eval accept --threads and ignore it. Only train on the pair form of
+the bit problem loads scipy; label-form train with ksh or bre, and every
+other subcommand, run on numpy alone.
 """
 
 from __future__ import annotations

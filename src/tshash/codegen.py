@@ -8,10 +8,15 @@ problem comes in one of two forms, chosen by learn_codes from its input:
 - LowRankBqp, for label-form supervision and the ksh or bre loss. A is
   then 2(RR^T - mY) + 2I (ksh; bre divides by 4m^2), where R is the codes
   without bit k and Y = 2CC^T - 11^T comes from the one-hot labels C, so
-  A.z costs O(n(m + c)) and no pair is stored.
+  A.z costs O(n(m + c)), no pair is stored, and the minimum eigenpair is
+  solved exactly in span[R | C] with numpy alone.
 - BqpInstance, for every other input. The pairs never change between
   updates, so the sparse structure of A is built once and only its
-  coefficients are rewritten per bit.
+  coefficients are rewritten per bit. Its minimum eigenpair comes from
+  Lanczos iteration (scipy's ARPACK).
+
+Both forms expose A.z (matvec) and the minimum eigenpair (min_eigenpair),
+which is all that spectral_relax and box_relax ask of them.
 
 update_bit takes either form, relaxes it twice (sphere, then box),
 sign-rounds the relaxed solutions and keeps the best of {rounded
@@ -47,7 +52,7 @@ __all__ = [
 _BOX_MAX_ITERS = 200
 _BOX_TOL = 1e-6
 
-# Largest accepted ||Av - lambda v|| / gershgorin_bound() of a Lanczos eigenpair.
+# Largest accepted ||Av - lambda v|| / gershgorin_bound() of an eigenpair.
 _RESIDUAL_TOL = 1e-6
 
 # Losses whose bit problem has the LowRankBqp form under full label supervision.
@@ -55,7 +60,7 @@ _LOW_RANK_LOSSES = ("ksh", "bre")
 
 
 class SpectralResidualWarning(UserWarning):
-    """Lanczos returned an eigenpair whose relative residual exceeds _RESIDUAL_TOL.
+    """A bit problem's eigenpair has a relative residual above _RESIDUAL_TOL.
 
     Not a RuntimeWarning: those mark the random-vector fallback.
     """
@@ -114,10 +119,28 @@ class BqpInstance:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    def matvec(self, z: np.ndarray) -> np.ndarray:
+        """A.z for a vector z."""
+        return self.matrix @ z
+
     def quad(self, z: np.ndarray) -> float:
         """Quadratic objective z.T A z."""
         z = np.asarray(z, dtype=np.float64)
-        return float(z @ (self.matrix @ z))
+        return float(z @ self.matvec(z))
+
+    def min_eigenpair(self, v0: np.ndarray) -> tuple[float, np.ndarray] | None:
+        """Minimum eigenvalue and unit eigenvector by Lanczos (ARPACK) from v0.
+
+        None if ARPACK does not converge.
+        """
+        # Imported here so that commands which never train do not load ARPACK.
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+        try:
+            vals, vecs = eigsh(self.matrix, k=1, which="SA", v0=v0)
+        except ArpackNoConvergence:
+            return None
+        return float(vals[0]), vecs[:, 0]
 
     def gershgorin_bound(self) -> float:
         """Upper bound on the spectral radius (max absolute row sum)."""
@@ -134,14 +157,18 @@ class LowRankBqp:
     matrix is A = 2(RR^T - mY) + 2I: the off-diagonal entries are the pair
     coefficients 2(sbar_ij - m y_ij), and 2I cancels the diagonal
     2(m - 1 - m). bre's matrix is the same divided by 4m^2. A is never
-    formed: matrix is a LinearOperator computing A.z from R and per-class
-    sums of z, in O(n(m + c)). set_rest fixes R for the next bit.
+    formed: matvec computes A.z from R and per-class sums of z, in
+    O(n(m + c)). set_rest fixes R for the next bit.
+
+    A - 2sI (s the loss scale) has its range in span[R | C], of dimension
+    at most m - 1 + c, and its trace is -2sn < 0, so A's minimum eigenpair
+    lies in that span. min_eigenpair solves it there exactly: A's matrix in
+    an orthonormal basis of the span is (m - 1 + c)^2, one dense eigh.
+    With about one class per point that is a dense n x n eigh, on the
+    inputs where Lanczos fails for the eigenvalue's large multiplicity.
     """
 
     def __init__(self, labels: np.ndarray, kind: LossKind):
-        # Imported here so that commands which never train do not load scipy.
-        from scipy.sparse.linalg import LinearOperator
-
         if kind.tag not in _LOW_RANK_LOSSES:
             raise ValueError(f"no low-rank form for the {kind.tag} loss")
         classes, self._classes = np.unique(labels, return_inverse=True)
@@ -149,12 +176,13 @@ class LowRankBqp:
         # Points ordered by class, and where each class starts, for class sums.
         self._order = np.argsort(self._classes, kind="stable")
         self._starts = np.searchsorted(self._classes[self._order], np.arange(classes.size))
+        self._sizes = np.diff(self._starts, append=n).astype(np.float64)
         self._m = kind.m
         # The bre loss of a +-1-labelled pair is (s - m y)^2 / (4 m^2).
         self._scale = 1.0 if kind.tag == "ksh" else 1.0 / (4.0 * kind.m**2)
         self._rest = np.zeros((n, kind.m - 1))
+        self._rest_sums = np.zeros((classes.size, kind.m - 1), dtype=np.int64)
         self._radius = 0.0
-        self.matrix = LinearOperator((n, n), matvec=self._apply, dtype=np.float64)
 
     @property
     def n(self) -> int:
@@ -169,17 +197,19 @@ class LowRankBqp:
         rest = np.asarray(rest)
         if rest.shape != self._rest.shape:
             raise ValueError(f"rest must have shape {self._rest.shape}")
+        sums = self._class_sums(rest)
         # (YR)_i = 2 (C^T R)[class of i] - 1^T R, in integers.
-        yr = 2 * self._class_sums(rest)[self._classes] - rest.sum(axis=0, dtype=np.int64)
+        yr = 2 * sums[self._classes] - rest.sum(axis=0, dtype=np.int64)
         # |sbar_ij| <= m - 1, so |a_ij| = 2(m - y_ij sbar_ij) and row i of |A|
         # sums to 2((n - 1)m - (r_i . (YR)_i - (m - 1))), the j = i term removed.
         ysbar = np.einsum("ij,ij->i", rest, yr, dtype=np.int64) - (self._m - 1)
         rows = (self.n - 1) * self._m - ysbar
         self._radius = 2.0 * self._scale * float(rows.max())
         np.copyto(self._rest, rest)
+        self._rest_sums = sums
 
-    def _apply(self, z: np.ndarray) -> np.ndarray:
-        z = np.ravel(z)
+    def matvec(self, z: np.ndarray) -> np.ndarray:
+        """A.z for a vector z, in O(n(m + c))."""
         sums = np.bincount(self._classes, weights=z, minlength=self._starts.size)
         yz = 2.0 * sums[self._classes] - z.sum()
         out = self._rest @ (self._rest.T @ z)
@@ -188,10 +218,39 @@ class LowRankBqp:
         out *= 2.0 * self._scale
         return out
 
+    def min_eigenpair(self, v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """Minimum eigenvalue and unit eigenvector of A, exact up to rounding.
+
+        v0 is ignored: nothing iterates. The basis of span[R | C] is E, the
+        class indicators over the square roots of their sizes (never formed),
+        then Q from a thin QR of the class-centred R = QT. With P = E^T R and
+        D the class sizes, A - 2sI = 2s [E Q] S [E Q]^T for
+            S = [[PP^T - 2mD + m d d^T, PT^T], [TP^T, TT^T]],  d = sqrt(diag D).
+        Q need not be orthogonal to E where the centred R is rank deficient,
+        but an eigenvector of S for a nonzero eigenvalue weights Q only
+        through T's range, which is orthogonal to E, so v = E y_E + Q y_Q
+        is A's eigenvector all the same.
+        """
+        m, c = self._m, self._sizes.size
+        root = np.sqrt(self._sizes)
+        means = self._rest_sums / self._sizes[:, None]
+        q, t = np.linalg.qr(self._rest - means[self._classes])
+        p = self._rest_sums / root[:, None]
+        k = c + t.shape[0]
+        s = np.empty((k, k))
+        s[:c, :c] = p @ p.T + m * np.outer(root, root)
+        s[:c, :c].flat[:: c + 1] -= 2.0 * m * self._sizes
+        s[:c, c:] = p @ t.T
+        s[c:, :c] = s[:c, c:].T
+        s[c:, c:] = t @ t.T
+        mu, y = np.linalg.eigh(s)
+        v = (y[:c, 0] / root)[self._classes] + q @ y[c:, 0]
+        return 2.0 * self._scale * (1.0 + float(mu[0])), v
+
     def quad(self, z: np.ndarray) -> float:
         """Quadratic objective z.T A z."""
         z = np.asarray(z, dtype=np.float64)
-        return float(z @ self._apply(z))
+        return float(z @ self.matvec(z))
 
     def gershgorin_bound(self) -> float:
         """Max absolute row sum of A, exact in integers before scaling."""
@@ -256,38 +315,35 @@ def pairwise_objective(sup: PairSupervision, codes: CodeMatrix, kind: LossKind) 
 def spectral_relax(bqp: BqpInstance | LowRankBqp, *, seed: int = 0) -> np.ndarray:
     """Minimizer of z.T A z over the sphere ||z||^2 = n.
 
-    The solution is the minimum-eigenvalue eigenvector of A, found by
-    Lanczos iteration (ARPACK) on bqp.matrix from a start vector
-    drawn from seed, signed so that its largest-magnitude entry is positive
-    and scaled to squared norm n. If ARPACK does not converge, a
-    RuntimeWarning saying so is emitted (tracing counts these) and the
-    seeded random vector of the right norm is returned instead; the
-    caller's rounding guard makes this safe. A converged eigenpair whose
-    residual ||Av - lambda v|| exceeds _RESIDUAL_TOL times the Gershgorin
-    bound emits a SpectralResidualWarning; its vector is still returned.
+    The solution is the minimum-eigenvalue eigenvector of A, from
+    bqp.min_eigenpair: Lanczos iteration from a start vector drawn from
+    seed for BqpInstance, an exact solve in span[R | C] for LowRankBqp. It
+    is signed so that its largest-magnitude entry is positive and scaled to
+    squared norm n. If Lanczos does not converge, a RuntimeWarning saying
+    so is emitted (tracing counts these) and the seeded start vector of the
+    right norm is returned instead; the caller's rounding guard makes this
+    safe. An eigenpair whose residual ||Av - lambda v|| exceeds
+    _RESIDUAL_TOL times the Gershgorin bound emits a
+    SpectralResidualWarning; its vector is still returned.
     """
-    # Imported here so that commands which never train do not load ARPACK.
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
     n = bqp.n
     radius = bqp.gershgorin_bound()
     if radius == 0.0:
         return np.ones(n)
 
     v0 = np.random.default_rng(seed).standard_normal(n)
-    try:
-        vals, vecs = eigsh(bqp.matrix, k=1, which="SA", v0=v0)
-    except ArpackNoConvergence:
+    pair = bqp.min_eigenpair(v0)
+    if pair is None:
         warnings.warn(
             "Lanczos did not converge; falling back to a random start vector",
             RuntimeWarning,
         )
         return v0 * (np.sqrt(n) / np.linalg.norm(v0))
-    v = vecs[:, 0]
-    residual = np.linalg.norm(bqp.matrix @ v - vals[0] * v) / radius
+    val, v = pair
+    residual = np.linalg.norm(bqp.matvec(v) - val * v) / radius
     if residual > _RESIDUAL_TOL:
         warnings.warn(
-            f"Lanczos eigenpair has relative residual {residual:.3g}",
+            f"spectral eigenpair has relative residual {residual:.3g}",
             SpectralResidualWarning,
         )
     if v[np.argmax(np.abs(v))] < 0:
@@ -314,12 +370,11 @@ def box_relax(bqp: BqpInstance | LowRankBqp, init: np.ndarray) -> np.ndarray:
     if lipschitz == 0.0:
         return z
 
-    mat = bqp.matrix
     f = bqp.quad(z)
     step = 1.0 / lipschitz
     max_step = 1e6 / lipschitz
     for _ in range(_BOX_MAX_ITERS):
-        grad = 2.0 * (mat @ z)
+        grad = 2.0 * bqp.matvec(z)
         if np.max(np.abs(np.clip(z - grad, -1.0, 1.0) - z)) <= _BOX_TOL:
             break
         moved = False

@@ -193,6 +193,20 @@ class TestImports:
             assert Path(b_prefix + ext).read_bytes() == Path(prefix + ext).read_bytes()
         assert (tmp_path / "query.out").read_text(encoding="utf-8") == query_out
 
+    @pytest.mark.parametrize("loss", ["ksh", "bre"])
+    def test_label_form_train_runs_without_scipy(self, tmp_path, loss):
+        # Full label supervision with ksh or bre takes the low-rank bit
+        # problem, whose spectral step is numpy's eigh.
+        data = gen(tmp_path)
+        model = train(tmp_path, data, loss=loss)
+        blocked = tmp_path / "blocked.json"
+        argv = ["train", str(data), "--model-out", str(blocked), "--loss", loss,
+                "--bits", "8", "--seed", "5", "--anchors", "40"]
+        assert json.loads(child(SCIPY_BLOCKED_CLI, json.dumps([(argv, os.devnull)]))) == [0]
+        assert blocked.read_bytes() == model.read_bytes()
+        trace = Path(str(model) + ".trace.csv").read_bytes()
+        assert Path(str(blocked) + ".trace.csv").read_bytes() == trace
+
 
 class TestEncode:
     def test_round_trip_matches_in_memory(self, tmp_path):

@@ -439,7 +439,7 @@ class TestLowRankForm:
                 want = pairs.quad(z)
                 assert low.quad(z) == (want if exact else pytest.approx(want, rel=1e-12))
             for z in rng.normal(size=(3, n)):
-                got, want = low.matrix @ z, pairs.matrix @ z
+                got, want = low.matvec(z), pairs.matvec(z)
                 if n == 1:  # A = 0; only rounding in the diagonal cancellation remains
                     assert np.abs(got).max() <= 1e-14 * np.abs(z).max()
                 else:
@@ -458,11 +458,32 @@ class TestLowRankForm:
             got = LowRankBqp(sup.labels, kind).objective(bits)
             assert got == (want if tag == "ksh" else pytest.approx(want, rel=1e-12))
 
+    @pytest.mark.parametrize("classes", [1, 3, "each"])
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    @pytest.mark.parametrize("tag", ["ksh", "bre"])
+    def test_min_eigenpair_matches_dense(self, tag, n, classes):
+        # n = 2 with m = 8 or 33, and n = 7 with m = 33, have n < m - 1. The
+        # class-constant codes leave the class-centred R rank deficient.
+        rng = np.random.default_rng(3 * n)
+        sup = full_label_supervision(n, classes, seed=n + 4)
+        for m in (1, 2, 8, 33):
+            kind = LossKind(tag, m)
+            per_class = rng.choice([-1, 1], size=(sup.labels.max() + 1, m)).astype(np.int8)
+            for bits in (rng.choice([-1, 1], size=(n, m)).astype(np.int8), per_class[sup.labels]):
+                k = int(rng.integers(m))
+                low = low_rank_form(sup, bits, k, kind)
+                dense = pair_form(sup, bits, k, kind).matrix.toarray()
+                val, v = low.min_eigenpair()
+                assert val == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-10)
+                assert np.linalg.norm(dense @ v - val * v) <= 1e-10 * low.gershgorin_bound()
+                assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-10)
+
     # With one class per point the minimum eigenvalue of A has multiplicity
-    # about n - m. At n = 300, m = 33 Lanczos then runs to its iteration limit
-    # without converging, on either form (about 1.5 s a call), and update_bit
-    # falls back to the random start; that case is in the slow tier.
-    @pytest.mark.filterwarnings("ignore:Lanczos did not converge:RuntimeWarning")
+    # about n - m, and the exact eigenproblem of LowRankBqp is a dense
+    # (n + m - 1)^2 eigh: at n = 300 the case takes a few seconds, so it is
+    # in the slow tier. A spectral fallback or a large residual fails it.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::tshash.codegen.SpectralResidualWarning")
     @pytest.mark.parametrize(
         "n, classes",
         [
