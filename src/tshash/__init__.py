@@ -15,10 +15,8 @@ from .data import (
     generate_clusters,
     kernel_matrix,
     load_dataset,
-    load_supervision,
     rbf_bandwidth,
     sample_anchors,
-    save_supervision,
     supervision_from_distance,
     supervision_from_labels,
 )

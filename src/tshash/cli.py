@@ -5,10 +5,11 @@ encode (hash a CSV into packed codes), eval (retrieval metrics), query
 (interactive top-k lookup). Exit codes: 0 success, 2 usage errors,
 1 runtime errors. All randomness flows from the --seed flag, split per
 role with a counter-based splitter, so identical command lines produce
-byte-identical output files. Every subcommand runs on one thread; train
-and eval accept --threads and ignore it. Only train on the pair form of
-the bit problem loads scipy; label-form train with ksh or bre, and every
-other subcommand, run on numpy alone.
+byte-identical output files. tshash starts no thread of its own, and train
+and eval accept --threads and ignore it; numpy's BLAS may use several
+unless the usual BLAS environment variables limit it. Only train on the
+pair form of the bit problem loads scipy; label-form train with ksh or
+bre, and every other subcommand, run on numpy alone.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled", action="store_true",
                    help="last CSV column is an integer label (implied by --supervision labels)")
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted for scripts that pass it; training runs on one thread")
+                   help="ignored: tshash starts no thread, though numpy's BLAS may")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="hash a CSV into a packed codes file")
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=retrieval.DEFAULT_K)
     p.add_argument("--radius", type=int, default=retrieval.DEFAULT_RADIUS)
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted for scripts that pass it; eval runs on one thread")
+                   help="ignored: tshash starts no thread, though numpy's BLAS may")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("query", help="print top-k database ids per query")

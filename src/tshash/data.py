@@ -26,8 +26,6 @@ __all__ = [
     "generate_clusters",
     "supervision_from_labels",
     "supervision_from_distance",
-    "save_supervision",
-    "load_supervision",
     "rbf_bandwidth",
     "sample_anchors",
     "kernel_matrix",
@@ -59,6 +57,22 @@ class EmptyDatasetError(DataFormatError):
     """A dataset CSV with no rows: empty, or every line blank."""
 
 
+def _integer_ids(values, what: str) -> np.ndarray:
+    """values as a contiguous int64 array; DataFormatError for booleans and non-integral values.
+
+    The dtype decides first: an integer array is cast without a scan, and a
+    contiguous int64 one is returned as it is.
+    """
+    arr = np.asarray(values)
+    if arr.dtype == np.bool_:
+        raise DataFormatError(f"{what} must be integers, not booleans")
+    if arr.dtype.kind not in "iu":
+        floats = arr.astype(np.float64)
+        if not (np.isfinite(floats).all() and (floats == np.trunc(floats)).all()):
+            raise DataFormatError(f"{what} must be integers")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 @dataclass
 class Dataset:
     """Feature matrix (n x d, float64) with optional integer class labels."""
@@ -73,7 +87,7 @@ class Dataset:
         if not np.isfinite(self.features).all():
             raise DataFormatError("features contain non-finite values")
         if self.labels is not None:
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+            self.labels = _integer_ids(self.labels, "labels")
             if self.labels.shape != (self.features.shape[0],):
                 raise DataFormatError(
                     f"labels length {self.labels.shape} does not match n={self.n}"
@@ -244,7 +258,7 @@ class PairSupervision:
 
     def __init__(self, n: int, i=(), j=(), y=(), labels=None):
         self.n = n
-        self.labels = None if labels is None else np.ascontiguousarray(labels, dtype=np.int64)
+        self.labels = None if labels is None else _integer_ids(labels, "labels")
         self._pairs = None
         if self.labels is not None:
             if len(i) or len(j) or len(y):
@@ -253,7 +267,7 @@ class PairSupervision:
                 raise DataFormatError("labels must hold one entry per point")
             self.labels.flags.writeable = False
             return
-        i, j = (np.ascontiguousarray(a, dtype=np.int64) for a in (i, j))
+        i, j = (_integer_ids(a, "pair ids") for a in (i, j))
         y = np.ascontiguousarray(y, dtype=np.float64)
         if not (i.shape == j.shape == y.shape):
             raise DataFormatError("supervision arrays must have equal length")
@@ -272,33 +286,6 @@ class PairSupervision:
         for arr in (i, j, y):
             arr.flags.writeable = False
         self._pairs = (i, j, y)
-
-    @classmethod
-    def from_entries(cls, n: int, entries) -> "PairSupervision":
-        """Build from (i, j, y) triples in any order; a repeated pair must repeat its value."""
-        table = np.array(list(entries) or np.empty((0, 3)), dtype=np.float64)
-        if table.ndim != 2 or table.shape[1] != 3:
-            raise DataFormatError("entries must be (i, j, y) triples")
-        ids = table[:, :2]
-        if not (np.isfinite(ids).all() and (ids == np.trunc(ids)).all()):
-            raise DataFormatError("pair ids must be integers")
-        a, b, y = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
-        if np.any(a == b):
-            raise DataFormatError(f"self-pair ({a[a == b][0]},{a[a == b][0]}) is not allowed")
-        # NaN != NaN, so a non-finite value would otherwise read as a conflict.
-        if not np.isfinite(y).all():
-            raise DataFormatError("affinities must be finite")
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        order = np.lexsort((hi, lo))
-        lo, hi, y = lo[order], hi[order], y[order]
-        repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-        conflict = repeat & (y[1:] != y[:-1])
-        if conflict.any():
-            k = np.argmax(conflict)
-            raise DataFormatError(f"conflicting values for pair ({lo[k]}, {hi[k]})")
-        last = np.ones(lo.size, dtype=bool)
-        last[:-1] = ~repeat
-        return cls(n, lo[last], hi[last], y[last])
 
     def __len__(self) -> int:
         return self.n * (self.n - 1) // 2 if self._pairs is None else self._pairs[0].size
@@ -429,33 +416,6 @@ def supervision_from_distance(
         cutoff[start:stop] = block[:, kth]
     y = np.where(pair_dist <= np.maximum(cutoff[i], cutoff[j]), 1.0, -1.0)
     return PairSupervision(ds.n, i, j, y)
-
-
-def save_supervision(sup: PairSupervision, path) -> None:
-    """Write supervision as CSV triples "i,j,y"."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for a, b, v in zip(*sup.arrays()):
-            fh.write(f"{int(a)},{int(b)},{float(v)!r}\n")
-
-
-def load_supervision(path, n: int) -> PairSupervision:
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            cells = text.split(",")
-            if len(cells) != 3:
-                raise DataFormatError(f"supervision row {lineno}: expected 3 cells")
-            try:
-                # int() and float() read digit separators ("1_0" as 10); the format has none.
-                if "_" in text:
-                    raise ValueError(text)
-                entries.append((int(cells[0]), int(cells[1]), float(cells[2])))
-            except ValueError:
-                raise DataFormatError(f"supervision row {lineno}: malformed cell") from None
-    return PairSupervision.from_entries(n, entries)
 
 
 def rbf_bandwidth(ds: Dataset, t: float) -> float:

@@ -58,9 +58,10 @@ def random_supervision(rng, n, pairs):
     while len(chosen) < pairs:
         a, b = rng.choice(n, size=2, replace=False)
         chosen.add((min(a, b), max(a, b)))
-    return PairSupervision.from_entries(
-        n, [(a, b, float(rng.choice([-1.0, 1.0]))) for a, b in sorted(chosen)]
-    )
+    i, j = np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2).T
+    # One draw per pair, in sorted order: one sized draw would consume rng differently.
+    y = [float(rng.choice([-1.0, 1.0])) for _ in range(i.size)]
+    return PairSupervision(n, i, j, y)
 
 
 def label_ground_truth(db_labels, query_labels):

@@ -70,9 +70,10 @@ def random_supervision(rng, n, pairs):
         a, b = rng.choice(n, size=2, replace=False)
         key = (min(a, b), max(a, b))
         entries.add(key)
-    return PairSupervision.from_entries(
-        n, [(a, b, float(rng.choice([-1.0, 1.0]))) for a, b in sorted(entries)]
-    )
+    i, j = np.array(sorted(entries), dtype=np.int64).reshape(-1, 2).T
+    # One draw per pair, in sorted order: one sized draw would consume rng differently.
+    y = [float(rng.choice([-1.0, 1.0])) for _ in range(i.size)]
+    return PairSupervision(n, i, j, y)
 
 
 class TestCodeMatrix:
@@ -111,7 +112,7 @@ class TestAssemble:
         assert col.tolist() == [1, -1, 1] and delta == 0.0
 
     def test_single_pair_worked_example(self):
-        sup = PairSupervision.from_entries(2, [(0, 1, 1.0)])
+        sup = PairSupervision(2, [0], [1], [1.0])
         codes = CodeMatrix(np.ones((2, 1), dtype=np.int8))
         bqp = BqpInstance(sup.n, *sup.arrays()[:2])
         bqp.set_coefficients(bit_coefficients(sup, codes, 0, LossKind("ksh", 1)))
@@ -328,14 +329,14 @@ class TestRoundAndSelect:
 
 class TestLearnCodes:
     def test_single_similar_pair_agrees(self):
-        sup = PairSupervision.from_entries(2, [(0, 1, 1.0)])
+        sup = PairSupervision(2, [0], [1], [1.0])
         cfg = TrainConfig(loss=LossKind("ksh", 1), seed=3)
         codes, trace = learn_codes(sup, cfg)
         assert codes.bits[0, 0] == codes.bits[1, 0]
         assert trace[-1].objective == 0.0
 
     def test_three_point_exhaustive_optimum(self):
-        sup = PairSupervision.from_entries(3, [(0, 1, 1.0), (0, 2, -1.0), (1, 2, -1.0)])
+        sup = PairSupervision(3, [0, 0, 1], [1, 2, 2], [1.0, -1.0, -1.0])
         kind = LossKind("bre", 2)
         cfg = TrainConfig(loss=kind, seed=1)
         codes, trace = learn_codes(sup, cfg)

@@ -13,10 +13,8 @@ from tshash.data import (
     generate_clusters,
     kernel_matrix,
     load_dataset,
-    load_supervision,
     rbf_bandwidth,
     sample_anchors,
-    save_supervision,
     supervision_from_distance,
     supervision_from_labels,
     _BANDWIDTH_NEIGHBORS,
@@ -226,6 +224,12 @@ class TestDataset:
         with pytest.raises(DataFormatError):
             Dataset(np.ones((3, 2)), labels=np.array([0, 1]))
 
+    # Labels obey PairSupervision's id rule: 0.5 must not read as class 0.
+    @pytest.mark.parametrize("labels", [[0.5, 1], [0, float("inf")], [True, False]])
+    def test_rejects_non_integral_labels(self, labels):
+        with pytest.raises(DataFormatError, match="labels must be integers"):
+            Dataset(np.ones((2, 2)), labels=labels)
+
     def test_features_immutable(self):
         ds = Dataset(np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -258,65 +262,60 @@ class TestGenerateClusters:
 
 class TestPairSupervision:
     def test_entries_stored_canonically(self):
-        sup = PairSupervision.from_entries(4, [(2, 0, 1.0), (1, 3, -1.0), (0, 2, 1.0)])
+        sup = PairSupervision(4, [0, 1.0], np.array([2.0, 3.0]), [1, -1])
         assert pair_values(sup) == {(0, 2): 1.0, (1, 3): -1.0}
-        assert len(PairSupervision.from_entries(4, [])) == 0
+        assert [a.dtype for a in sup.arrays()] == [np.int64, np.int64, np.float64]
+        assert not any(a.flags.writeable for a in sup.arrays())
+        assert len(PairSupervision(4)) == 0
+
+    def test_int64_ids_held_as_given(self):
+        i, j = np.array([0, 1]), np.array([2, 3])
+        sup = PairSupervision(4, i, j, [1.0, -1.0])
+        assert sup.arrays()[0] is i and sup.arrays()[1] is j
 
     def test_rejects_self_pair(self):
-        with pytest.raises(DataFormatError):
-            PairSupervision.from_entries(3, [(1, 1, 1.0)])
+        with pytest.raises(DataFormatError, match="i < j"):
+            PairSupervision(3, [1], [1], [1.0])
 
+    # Pair ids were once cast to int64 unchecked: 0.5 read as 0, True as 1.
     @pytest.mark.parametrize("entries", [
-        [(0.5, 2, 1.0)], [(1.9, 2.2, -1.0)], [(0, 1, 1.0), (float("inf"), 2, 1.0)],
+        ([0.5], [2], [1.0]), ([1.9], [2.2], [-1.0]), ([0, float("inf")], [1, 2], [1.0, 1.0]),
     ])
     def test_rejects_non_integral_ids(self, entries):
         with pytest.raises(DataFormatError, match="integers"):
-            PairSupervision.from_entries(3, entries)
+            PairSupervision(3, *entries)
 
     def test_rejects_conflicting_duplicates(self):
-        with pytest.raises(DataFormatError):
-            PairSupervision.from_entries(3, [(0, 1, 1.0), (1, 0, -1.0)])
+        with pytest.raises(DataFormatError, match="duplicate pair"):
+            PairSupervision(3, [0, 0], [1, 1], [1.0, -1.0])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="out of range"):
             PairSupervision(2, np.array([0]), np.array([5]), np.array([1.0]))
 
     # bre would read y = 0 as dissimilar, ksh as s -> 0, ee, exph and splh as a constant.
-    def test_rejects_zero_affinity(self, tmp_path):
-        with pytest.raises(DataFormatError, match="nonzero"):
-            PairSupervision(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, 0.0]))
-        with pytest.raises(DataFormatError, match="nonzero"):
-            PairSupervision.from_entries(3, [(0, 1, -0.0)])
-        path = tmp_path / "sup.csv"
-        path.write_text("0,1,1.0\n1,2,0\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="nonzero"):
-            load_supervision(path, 3)
+    def test_rejects_zero_affinity(self):
+        for zero in (0.0, -0.0):
+            with pytest.raises(DataFormatError, match="nonzero"):
+                PairSupervision(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, zero]))
 
-    def test_save_load_round_trip(self, tmp_path):
-        sup = PairSupervision.from_entries(5, [(0, 4, 1.0), (2, 3, -1.0)])
-        path = tmp_path / "sup.csv"
-        save_supervision(sup, path)
-        back = load_supervision(path, 5)
-        for got, want in zip(back.arrays(), sup.arrays()):
-            assert np.array_equal(got, want)
-
-    # the repeated nan pair must read as non-finite, not as conflicting
-    @pytest.mark.parametrize("row", [
-        "0,1,nan", "1,2,inf", "0,2,-inf", pytest.param("0,1,nan\n1,0,nan", id="nan-twice"),
+    @pytest.mark.parametrize("n, i, j, y, labels, match", [
+        pytest.param(3, [2], [1], [1.0], None, "i < j", id="i-above-j"),
+        pytest.param(3, [0, 0], [1, 1], [1.0, 1.0], None, "duplicate pair", id="same-value-duplicate"),
+        pytest.param(3, [-1], [1], [1.0], None, "out of range", id="negative-id"),
+        pytest.param(3, [0, 1], [1, 2], [1.0], None, "equal length", id="short-y"),
+        pytest.param(3, [0], [1, 2], [1.0, 1.0], None, "equal length", id="short-i"),
+        pytest.param(3, [0], [1], [float("nan")], None, "finite", id="nan"),
+        pytest.param(3, [0], [1], [float("inf")], None, "finite", id="inf"),
+        pytest.param(3, [0], [1], [-float("inf")], None, "finite", id="-inf"),
+        pytest.param(3, [True], [2], [1.0], None, "integers, not booleans", id="boolean-id"),
+        pytest.param(3, (), (), (), [0.5, 1, 2], "labels must be integers", id="fractional-label"),
+        pytest.param(3, (), (), (), [0, float("nan"), 1], "labels must be integers", id="nan-label"),
+        pytest.param(3, (), (), (), [True, False, True], "not booleans", id="boolean-labels"),
     ])
-    def test_load_rejects_non_finite_affinity(self, tmp_path, row):
-        path = tmp_path / "sup.csv"
-        path.write_text(f"0,3,1.0\n{row}\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="finite"):
-            load_supervision(path, 4)
-
-    # int() and float() read "1_0" as 10; the format has no digit separators.
-    @pytest.mark.parametrize("row", ["1_0,2,1.0", "0,1_1,1.0", "0,2,1_0.0", "0,2,x"])
-    def test_load_rejects_malformed_cell(self, tmp_path, row):
-        path = tmp_path / "sup.csv"
-        path.write_text(f"0,3,1.0\n{row}\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="supervision row 2: malformed cell"):
-            load_supervision(path, 20)
+    def test_constructor_rejects(self, n, i, j, y, labels, match):
+        with pytest.raises(DataFormatError, match=match):
+            PairSupervision(n, i, j, y, labels)
 
 
 class TestSamplePartners:
@@ -439,15 +438,6 @@ class TestLabelledPairSupervision:
         monkeypatch.setattr("tshash.data._sample_partners", refuse)
         ds = Dataset(np.zeros((5, 1)), labels=np.array([0, 1, 0, 2, 1]))
         assert len(supervision_from_labels(ds, 4, seed=0)) == 10
-
-    def test_save_load_round_trip(self, tmp_path):
-        labels = np.array([2, 0, 2, 1, 0, 0])
-        sup = PairSupervision(6, labels=labels)
-        path = tmp_path / "sup.csv"
-        save_supervision(sup, path)
-        back = load_supervision(path, 6)
-        assert back.labels is None
-        assert [a.tolist() for a in back.arrays()] == [a.tolist() for a in sup.arrays()]
 
 
 class TestSupervisionFromDistance:
