@@ -48,6 +48,8 @@ _FAST_BYTES = b"0123456789+-.eE, \t\r\n"
 # Nearest neighbours per point that rbf_bandwidth averages over (at most n-1).
 _BANDWIDTH_NEIGHBORS = 100
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 class DataFormatError(ValueError):
     """Malformed dataset, supervision, or kernel configuration input."""
@@ -58,10 +60,12 @@ class EmptyDatasetError(DataFormatError):
 
 
 def _integer_ids(values, what: str) -> np.ndarray:
-    """values as a contiguous int64 array; DataFormatError for booleans and non-integral values.
+    """values as a contiguous int64 array; DataFormatError for booleans and for
+    non-integral or out-of-int64 values.
 
-    The dtype decides first: an integer array is cast without a scan, and a
-    contiguous int64 one is returned as it is.
+    The dtype decides first: a signed integer array is cast without a scan,
+    and a contiguous int64 one is returned as it is; only uint64 and
+    non-integer arrays are scanned.
     """
     arr = np.asarray(values)
     if arr.dtype == np.bool_:
@@ -70,6 +74,11 @@ def _integer_ids(values, what: str) -> np.ndarray:
         floats = arr.astype(np.float64)
         if not (np.isfinite(floats).all() and (floats == np.trunc(floats)).all()):
             raise DataFormatError(f"{what} must be integers")
+        in_range = arr.size == 0 or (floats.min() >= -(2.0**63) and floats.max() < 2.0**63)
+    else:
+        in_range = arr.dtype != np.uint64 or arr.size == 0 or arr.max() <= _INT64_MAX
+    if not in_range:
+        raise DataFormatError(f"{what} must lie in the int64 range [-2**63, 2**63 - 1]")
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 

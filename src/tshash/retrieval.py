@@ -2,9 +2,10 @@
 
 A database point's id is its row in the database codes. Rankings sort by
 ascending Hamming distance with ties broken by ascending id, which makes
-every downstream metric deterministic. Four metrics are reported:
-precision at K, mean average precision over the full ranking, area under
-the precision-recall curve sampled at the m+1 integer distance
+every downstream metric deterministic; one sort of the keys
+dist << shift | id << 1 gives that order (_sort_keys). Four metrics are
+reported: precision at K, mean average precision over the full ranking,
+area under the precision-recall curve sampled at the m+1 integer distance
 thresholds, and precision within a fixed Hamming radius.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _integer_ids
+from .data import _INT64_MAX, _integer_ids
 from .packed import PackedCodes
 
 __all__ = [
@@ -37,8 +38,10 @@ __all__ = [
 DEFAULT_K = 300
 DEFAULT_RADIUS = 2
 # Top-k selection takes a dozen numpy calls, about 20 us whatever N is; one
-# radix sort of all N costs about 5 ns a point. The two met between 2,000 and
-# 10,000 points (m = 8 to 64, 2-core Xeon), so smaller databases sort all N.
+# sort of all N costs about 4 to 5 ns a point (the radix argsort this was
+# measured with, and the uint32 key sort that replaced it, alike). The two met
+# between 2,000 and 10,000 points (m = 8 to 64, 2-core Xeon), so smaller
+# databases sort all N.
 _SELECT_MIN_N = 4096
 
 
@@ -58,17 +61,12 @@ class CodeDatabase:
 
 
 def _sorted_unique(ids) -> np.ndarray:
-    """Sorted int64 array of the distinct ids; np.unique (numpy 2.4) is far slower.
+    """Sorted int64 copy of the distinct ids; np.unique (numpy 2.4) is far slower.
 
-    Raises DataFormatError, a ValueError, for a boolean array and for a
-    fractional or non-finite id (data._integer_ids).
+    Always a copy, even of sorted int64 ids, so the caller's array is never
+    aliased. Raises DataFormatError, a ValueError, for a boolean array and
+    for a fractional, non-finite or out-of-int64 id (data._integer_ids).
     """
-    # Always a copy, even of sorted int64 ids: the caller's array is never
-    # aliased, and load_ground_truth's parsed lines are freed as one block
-    # that each query's N-length ranking buffers then reuse. Held as given,
-    # they leave those buffers at the heap top, which glibc trims and faults
-    # back in on every query: `evaluate` of 1,000 queries over 50,000 points
-    # took 1.0 s instead of 0.6 s (2-core Xeon, about 165,000 page faults).
     ids = _integer_ids(ids if isinstance(ids, np.ndarray) else list(ids), "relevant ids").copy()
     if (ids[1:] > ids[:-1]).all():
         return ids
@@ -82,19 +80,30 @@ def _sorted_unique(ids) -> np.ndarray:
 class GroundTruth:
     """Per-query database ids counted as true neighbors.
 
-    Each query's ids are held as a sorted int64 array without repeats; the
-    constructor accepts any iterables of integer ids and raises ValueError
-    for a boolean mask or a fractional or non-finite id. Ids that are already
-    strictly increasing are not sorted again. The ids are always copied: a
-    caller's array is never held or changed. A query's ids may be empty;
-    such queries are excluded from ranking-quality averages but still
-    counted in the report.
+    Each query's ids are held as a read-only sorted int64 array without
+    repeats; the constructor accepts any iterables of integer ids and raises
+    ValueError for a boolean mask or a fractional, non-finite or out-of-int64
+    id. Ids that are already strictly increasing are not sorted again. The
+    ids are always copied, so a caller's array is never held or changed, and
+    an object given for several queries is copied once: those queries share
+    one array. A query's ids may be empty; such queries are excluded from
+    ranking-quality averages but still counted in the report.
     """
 
     relevant: list[np.ndarray]
 
     def __post_init__(self):
-        self.relevant = [_sorted_unique(s) for s in self.relevant]
+        # id(given) -> (given, ids); holding `given` keeps its id from being reused.
+        held = {}
+        relevant = []
+        for given in self.relevant:
+            entry = held.get(id(given))
+            if entry is None:
+                ids = _sorted_unique(given)
+                ids.flags.writeable = False
+                entry = held[id(given)] = (given, ids)
+            relevant.append(entry[1])
+        self.relevant = relevant
 
     @property
     def n_queries(self) -> int:
@@ -123,19 +132,29 @@ class EvalReport:
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
 
 
-def hamming_distances(db: CodeDatabase, query_words: np.ndarray) -> np.ndarray:
+def hamming_distances(
+    db: CodeDatabase,
+    query_words: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Distances from one packed query to every database code.
 
     The dtype is np.min_scalar_type(m), uint8 for m <= 255 and uint16 above,
-    which is the key type the ranking sorts on.
+    the narrowest that holds every distance. `out`, if given, is an N-length
+    array of that dtype that receives the distances, and `scratch` an array
+    of the database words' shape and dtype that receives their XOR with the
+    query. Given both, the call allocates nothing N-length for codes of one
+    word (m <= 64); longer codes still allocate their per-word bit counts.
     """
     q = np.asarray(query_words, dtype=np.uint64).reshape(-1)
     words = db.codes.words
     if q.shape[0] != words.shape[1]:
         raise ValueError("query word count does not match database")
+    xor = np.bitwise_xor(words, q, out=scratch)
     if q.shape[0] == 1:
-        return np.bitwise_count(words[:, 0] ^ q[0])
-    return np.bitwise_count(words ^ q).sum(axis=1, dtype=np.min_scalar_type(db.m))
+        return np.bitwise_count(xor[:, 0], out=out)
+    return np.bitwise_count(xor).sum(axis=1, dtype=np.min_scalar_type(db.m), out=out)
 
 
 def _kth_distance(dists: np.ndarray, k: int) -> tuple[int, int]:
@@ -163,6 +182,41 @@ def _kth_distance(dists: np.ndarray, k: int) -> tuple[int, int]:
     return t, count
 
 
+def _key_layout(n: int, m: int) -> tuple[type, int]:
+    """The dtype and shift of the sort keys dist << shift | id << 1 | flag.
+
+    The low `shift` bits hold id << 1 | flag, below 2n. Every key lies below
+    (m + 1) << shift, the bound evaluate searches for at distance m, and the
+    keys are uint32 when that bound fits; uint64 keys sort about half as fast.
+    """
+    shift = (2 * n - 1).bit_length()
+    return (np.uint32 if (m + 1) << shift < 1 << 32 else np.uint64), shift
+
+
+def _sort_keys(keys, dists, id_keys, shift: int, relevant=None) -> np.ndarray:
+    """Fill keys with dist << shift | id << 1 | (id in relevant) and sort them in place.
+
+    id_keys holds id << 1 for each point of dists. Ids are unique, so any
+    sort of the keys gives the (distance, id) order: ascending distance,
+    ties by ascending id. A key is odd when its point is relevant.
+    """
+    np.copyto(keys, dists)
+    keys <<= shift
+    keys |= id_keys
+    if relevant is not None:
+        keys[relevant] |= 1
+    keys.sort()
+    return keys
+
+
+def _key_ids(keys: np.ndarray, shift: int) -> np.ndarray:
+    """The ids in sort keys, as intp."""
+    ids = keys.astype(np.intp)
+    ids >>= 1
+    ids &= (1 << (shift - 1)) - 1
+    return ids
+
+
 def _ranked_order(
     db: CodeDatabase, query_words: np.ndarray, k: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -174,13 +228,16 @@ def _ranked_order(
     of N or N is below _SELECT_MIN_N, when sorting all N costs no more.
     """
     dists = hamming_distances(db, query_words)
+    dtype, shift = _key_layout(db.n, db.m)
     if k and dists.size >= _SELECT_MIN_N and 2 * k <= dists.size:
         t, count = _kth_distance(dists, k)
         if 2 * count <= dists.size:
-            cand = np.flatnonzero(dists <= t)  # ascending ids: the stable sort keeps ties in id order
-            return cand[np.argsort(dists[cand], kind="stable")[:k]], dists
-    # Distances are at most m; a stable sort of 8- or 16-bit keys is a radix sort.
-    return np.argsort(dists, kind="stable")[:k], dists
+            cand = np.flatnonzero(dists <= t)
+            keys = _sort_keys(np.empty(cand.size, dtype), dists[cand], cand.astype(dtype) << 1, shift)
+            return _key_ids(keys[:k], shift), dists
+    id_keys = np.arange(0, 2 * dists.size, 2, dtype=dtype)
+    keys = _sort_keys(np.empty(dists.size, dtype), dists, id_keys, shift)
+    return _key_ids(keys[:k], shift), dists
 
 
 def rank(db: CodeDatabase, query_words: np.ndarray, k: int) -> np.ndarray:
@@ -191,31 +248,46 @@ def rank(db: CodeDatabase, query_words: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
-def _query_stats(db: CodeDatabase, qwords, relevant, k, radius, m, rel_db, one_to_n):
+class _RankBuffers:
+    """The N-length arrays that evaluate ranks every query in, allocated once."""
+
+    def __init__(self, db: CodeDatabase):
+        n, m = db.n, db.m
+        dtype, self.shift = _key_layout(n, m)
+        self.xor = np.empty_like(db.codes.words)
+        self.dists = np.empty(n, np.min_scalar_type(m))
+        self.keys = np.empty(n, dtype)
+        self.id_keys = np.arange(0, 2 * n, 2, dtype=dtype)
+        # The keys of the points within distance t lie below bounds[t].
+        self.bounds = np.arange(1, m + 2, dtype=dtype) << self.shift
+        self.odd = np.empty(n, dtype=bool)
+        self.one_to_n = np.arange(1, n + 1, dtype=np.float64)
+
+
+def _query_stats(db: CodeDatabase, buf: _RankBuffers, qwords, relevant, k, radius):
     """AP, P@k, radius precision and the PR-curve precision and recall rows of
     one query whose relevant set is nonempty.
 
-    Past the ranking, the work is over the R relevant points: their
-    distances, read through the sorted ids, give the PR counts, and hits,
-    their 0-based ranks in ascending order, give AP and P@k. The i-th hit
-    is preceded by i relevant points, and searchsorted(hits, k) of them lie
-    in the top k, so no N-length cumulative sum is needed. `rel_db` is an
-    all-False mask of N entries, set here and cleared before returning;
-    `one_to_n` is the float64 arange(1, N + 1). The caller allocates both once.
+    One sort of the keys ranks the query (_sort_keys). Counting keys below
+    each bound gives n_ret, the odd keys' positions give hits, the 0-based
+    ranks of the relevant points in ascending order, and the hits below
+    n_ret[t] give n_rel_ret. The i-th hit is preceded by i relevant points,
+    and searchsorted(hits, k) of them lie in the top k, so no N-length
+    cumulative sum is needed.
     """
-    order, dists = _ranked_order(db, qwords)
+    m = db.m
+    dists = hamming_distances(db, qwords, out=buf.dists, scratch=buf.xor)
+    keys = _sort_keys(buf.keys, dists, buf.id_keys, buf.shift, relevant)
     # n_ret[t] points lie within distance t, n_rel_ret[t] of them relevant.
-    # The order sorts the distances, so n_ret is a search of the sorted keys.
-    thresholds = np.arange(m + 1, dtype=dists.dtype)
-    n_ret = np.searchsorted(dists, thresholds, side="right", sorter=order).astype(np.float64)
-    n_rel_ret = np.cumsum(np.bincount(np.take(dists, relevant), minlength=m + 1)).astype(np.float64)
+    n_ret = np.searchsorted(keys, buf.bounds)
+    np.bitwise_and(keys, 1, out=buf.odd, casting="unsafe")
+    hits = np.flatnonzero(buf.odd)
+    n_rel_ret = np.searchsorted(hits, n_ret).astype(np.float64)
+    n_ret = n_ret.astype(np.float64)
     t = min(radius, m)
     prec_r2 = float(n_rel_ret[t] / n_ret[t]) if n_ret[t] else 0.0
 
-    rel_db[relevant] = True
-    hits = np.flatnonzero(np.take(rel_db, order))
-    rel_db[relevant] = False
-    ap = float(np.mean(one_to_n[: hits.size] / (hits + 1.0)))
+    ap = float(np.mean(buf.one_to_n[: hits.size] / (hits + 1.0)))
     p_at_k = float(np.searchsorted(hits, k) / k)
 
     prec_curve = np.divide(n_rel_ret, n_ret, out=np.zeros(m + 1), where=n_ret > 0)
@@ -261,10 +333,10 @@ def evaluate(
 
     ap, p_at_k, prec_r2 = np.zeros(nq), np.zeros(nq), np.zeros(nq)
     prec, recall = np.zeros((nq, m + 1)), np.zeros((nq, m + 1))
-    rel_db, one_to_n = np.zeros(db.n, dtype=bool), np.arange(1, db.n + 1, dtype=np.float64)
+    buf = _RankBuffers(db)
     for qi in np.flatnonzero(scored):
         ap[qi], p_at_k[qi], prec_r2[qi], prec[qi], recall[qi] = _query_stats(
-            db, queries.words[qi], gt.relevant[qi], k, radius, m, rel_db, one_to_n
+            db, buf, queries.words[qi], gt.relevant[qi], k, radius
         )
 
     prec_curve = prec[scored].mean(axis=0)
@@ -292,28 +364,44 @@ def save_ground_truth(gt: GroundTruth, path) -> None:
             fh.write("\n")
 
 
-_INT64_MAX = np.iinfo(np.int64).max
 _LONE_SIGN = re.compile(r"[+-](?!\d)")
 
 
 def load_ground_truth(path) -> GroundTruth:
+    """Read a ground-truth file; ValueError names the first malformed line.
+
+    A repeated line, as in label ground truth with one distinct line per
+    class, is parsed once, and its queries share one array. Lines are told
+    apart by their SHA-256 digest, so the text of every distinct line (as
+    much as the file) is not held while reading.
+    """
+    import hashlib  # here, not at the top: it costs every other command about 4 ms
+
+    parsed: dict[bytes, np.ndarray] = {}
     relevant = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            # fromstring parses in C. It reads an unstripped blank line or a lone sign as 0, joins
-            # a lone sign to the next id, and saturates an id past int64 instead of failing.
-            text = line.strip()
-            try:
-                ids = np.fromstring(text, dtype=np.int64, sep=" ")
-            except ValueError:
-                ids = None
-            lone_sign = ("-" in text or "+" in text) and _LONE_SIGN.search(text)
-            if ids is None or lone_sign or _INT64_MAX in ids:
-                raise ValueError(f"malformed ground truth at line {lineno}: {text!r}")
-            if ids.size and ids.min() < 0:
-                raise ValueError(f"malformed ground truth at line {lineno}: negative id")
+            digest = hashlib.sha256(line.encode()).digest()
+            ids = parsed.get(digest)
+            if ids is None:
+                ids = parsed[digest] = _parse_ids(line.strip(), lineno)
             relevant.append(ids)
     return GroundTruth(relevant)
+
+
+def _parse_ids(text: str, lineno: int) -> np.ndarray:
+    # fromstring parses in C. It reads an unstripped blank line or a lone sign as 0, joins
+    # a lone sign to the next id, and saturates an id past int64 instead of failing.
+    try:
+        ids = np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError:
+        ids = None
+    lone_sign = ("-" in text or "+" in text) and _LONE_SIGN.search(text)
+    if ids is None or lone_sign or _INT64_MAX in ids:
+        raise ValueError(f"malformed ground truth at line {lineno}: {text!r}")
+    if ids.size and ids.min() < 0:
+        raise ValueError(f"malformed ground truth at line {lineno}: negative id")
+    return ids
 
 
 _METRIC_FIELDS = ("precision_at_k", "map", "pr_auc", "prec_within_r2")

@@ -312,6 +312,13 @@ class TestPairSupervision:
         pytest.param(3, (), (), (), [0.5, 1, 2], "labels must be integers", id="fractional-label"),
         pytest.param(3, (), (), (), [0, float("nan"), 1], "labels must be integers", id="nan-label"),
         pytest.param(3, (), (), (), [True, False, True], "not booleans", id="boolean-labels"),
+        # Ids past int64 once wrapped to negative values.
+        pytest.param(3, np.array([0], dtype=np.uint64), np.array([2**64 - 1], dtype=np.uint64), [1.0], None,
+                     "int64 range", id="uint64-id-past-int64"),
+        pytest.param(3, [0], [1e19], [1.0], None, "int64 range", id="float-id-past-int64"),
+        pytest.param(3, [0], [2**70], [1.0], None, "int64 range", id="object-id-past-int64"),
+        pytest.param(3, (), (), (), np.array([0, 2**63, 1], dtype=np.uint64), "int64 range",
+                     id="uint64-label-past-int64"),
     ])
     def test_constructor_rejects(self, n, i, j, y, labels, match):
         with pytest.raises(DataFormatError, match=match):

@@ -36,6 +36,44 @@ def random_instance(rng, n_db, n_q, m):
     return packed_from_signs(db_signs), packed_from_signs(q_signs), GroundTruth(sets)
 
 
+def check_query_stats_against_reference(m, key_dtype=np.uint32):
+    """_query_stats against oracle.reference_query_stats with ==, over a grid:
+    heavy ties, distinct codes and N = 1; four relevant sets; k at both ends
+    of [1, N]; radii 0, 2, m and m + 300."""
+    rng = np.random.default_rng(500 + m)
+    pool = rng.choice([-1, 1], size=(4, m)).astype(np.int8)
+    databases = [
+        packed_from_signs(pool[rng.integers(0, 4, 60)]),  # many duplicate codes: heavy ties
+        packed_from_signs(rng.choice([-1, 1], size=(60, m)).astype(np.int8)),
+        packed_from_signs(rng.choice([-1, 1], size=(1, m)).astype(np.int8)),  # N = 1
+    ]
+    queries = packed_from_signs(rng.choice([-1, 1], size=(3, m)).astype(np.int8))
+    for codes in databases:
+        db = CodeDatabase(codes)
+        n = db.n
+        buf = retrieval._RankBuffers(db)
+        assert buf.keys.dtype == key_dtype
+        relevant_sets = [
+            np.empty(0, dtype=np.int64),
+            np.arange(n),
+            np.array([n - 1]),
+            np.sort(rng.choice(n, size=(n + 1) // 2, replace=False)),
+        ]
+        for qwords in [*queries.words, codes.words[0]]:
+            for relevant in relevant_sets:
+                for k in (1, n):
+                    for radius in (0, 2, m, m + 300):
+                        want = oracle.reference_query_stats(db, qwords, relevant, k, radius, m)
+                        if not relevant.size:
+                            # evaluate does not rank such a query: its
+                            # radius precision is the 0 it starts from.
+                            assert want == (None, None, 0.0, None, None)
+                            continue
+                        got = _query_stats(db, buf, qwords, relevant, k, radius)
+                        for g, w in zip(got, want):
+                            assert np.array_equal(g, w), (n, k, radius)
+
+
 def one_row_distance(a, b):
     """Distance between the codes of two one-row PackedCodes."""
     return int(hamming_distances(CodeDatabase(b), a.words[0])[0])
@@ -61,7 +99,7 @@ class TestHammingDistance:
             want = oracle.naive_hamming(pa.bits01()[0], pb.bits01()[0])
             assert one_row_distance(pa, pb) == want
 
-    # m=64 fills one word (uint8 keys); m=600 needs 16-bit keys
+    # m=64 fills one word (uint8 distances); m=600 needs 16-bit distances
     @pytest.mark.parametrize("m, dtype", [(64, np.uint8), (600, np.uint16)])
     def test_dtype_is_sort_key(self, m, dtype):
         db = CodeDatabase(packed_from_signs(np.ones((3, m))))
@@ -69,6 +107,18 @@ class TestHammingDistance:
         dists = hamming_distances(db, query.words[0])
         assert dists.dtype == dtype
         assert dists.tolist() == [m, m, m]
+
+    # One word, and two and ten words, where the per-word counts are summed.
+    @pytest.mark.parametrize("m", [8, 64, 70, 600])
+    def test_out_and_scratch_receive_the_results(self, m):
+        rng = np.random.default_rng(m)
+        db = CodeDatabase(packed_from_signs(rng.choice([-1, 1], size=(40, m))))
+        qwords = packed_from_signs(rng.choice([-1, 1], size=(1, m))).words[0]
+        want = hamming_distances(db, qwords)
+        out, scratch = np.empty_like(want), np.empty_like(db.codes.words)
+        got = hamming_distances(db, qwords, out=out, scratch=scratch)
+        assert got is out and np.array_equal(got, want)
+        assert np.array_equal(scratch, db.codes.words ^ qwords)
 
     def test_length_mismatch_rejected(self):
         a = packed_from_signs([[1] * 70])
@@ -101,7 +151,7 @@ class TestRank:
         with pytest.raises(ValueError):
             rank(db, q.words[0], 2)
 
-    # m=600 ranks on 16-bit distance keys (most above 255), the others on 8-bit keys
+    # m=600 ranks on 16-bit distances (most above 255), the others on 8-bit distances
     @pytest.mark.parametrize("m", [32, 70, 600])
     def test_ordering_matches_naive_oracle(self, m):
         rng = np.random.default_rng(m)
@@ -112,7 +162,7 @@ class TestRank:
             got = rank(db, q_codes.words[qi], 300)
             assert got.tolist() == want
 
-    # m=300 ranks on 16-bit keys. The database holds 1, 3 or n distinct
+    # m=300 ranks on 16-bit distances. The database holds 1, 3 or n distinct
     # codes, so runs of tied distances cross the k-th nearest distance. The
     # selection runs at every n here, not only from _SELECT_MIN_N points up.
     @pytest.mark.parametrize("m", [1, 3, 8, 64, 65, 300])
@@ -216,42 +266,36 @@ class TestEvaluate:
             assert np.allclose(report.pr_precision, want["pr_precision"], atol=1e-12)
             assert np.allclose(report.pr_recall, want["pr_recall"], atol=1e-12)
 
-    # One word (m=1, 8, 64), two words (70) and 16-bit keys (600); radius
+    # One word (m=1, 8, 64), two words (70) and 16-bit distances (600); radius
     # m + 300 lies above the uint8 range, and k takes both ends of [1, N].
     @pytest.mark.parametrize("m", [1, 8, 64, 70, 600])
     def test_query_stats_match_reference_exactly(self, m):
-        rng = np.random.default_rng(500 + m)
-        pool = rng.choice([-1, 1], size=(4, m)).astype(np.int8)
-        databases = [
-            packed_from_signs(pool[rng.integers(0, 4, 60)]),  # many duplicate codes: heavy ties
-            packed_from_signs(rng.choice([-1, 1], size=(60, m)).astype(np.int8)),
-            packed_from_signs(rng.choice([-1, 1], size=(1, m)).astype(np.int8)),  # N = 1
-        ]
-        queries = packed_from_signs(rng.choice([-1, 1], size=(3, m)).astype(np.int8))
-        for codes in databases:
-            db = CodeDatabase(codes)
-            n = db.n
-            rel_db, one_to_n = np.zeros(n, dtype=bool), np.arange(1, n + 1, dtype=np.float64)
-            relevant_sets = [
-                np.empty(0, dtype=np.int64),
-                np.arange(n),
-                np.array([n - 1]),
-                np.sort(rng.choice(n, size=(n + 1) // 2, replace=False)),
-            ]
-            for qwords in [*queries.words, codes.words[0]]:
-                for relevant in relevant_sets:
-                    for k in (1, n):
-                        for radius in (0, 2, m, m + 300):
-                            want = oracle.reference_query_stats(db, qwords, relevant, k, radius, m)
-                            if not relevant.size:
-                                # evaluate does not rank such a query: its
-                                # radius precision is the 0 it starts from.
-                                assert want == (None, None, 0.0, None, None)
-                                continue
-                            got = _query_stats(db, qwords, relevant, k, radius, m, rel_db, one_to_n)
-                            for g, w in zip(got, want):
-                                assert np.array_equal(g, w), (n, k, radius)
-                            assert not rel_db.any()  # cleared for the next query
+        check_query_stats_against_reference(m)
+
+    # Keys are uint32 at these sizes; the same grid on uint64 keys covers the
+    # wide layout that a large N times a large m needs.
+    @pytest.mark.parametrize("m", [1, 8, 64, 70, 600])
+    def test_query_stats_and_rank_on_uint64_keys(self, m, monkeypatch):
+        layout = retrieval._key_layout
+        monkeypatch.setattr(retrieval, "_key_layout", lambda n, m: (np.uint64, layout(n, m)[1]))
+        monkeypatch.setattr(retrieval, "_SELECT_MIN_N", 0)
+        check_query_stats_against_reference(m, key_dtype=np.uint64)
+        rng = np.random.default_rng(600 + m)
+        db = CodeDatabase(packed_from_signs(rng.choice([-1, 1], size=(50, m)).astype(np.int8)))
+        qwords = packed_from_signs(rng.choice([-1, 1], size=(1, m)).astype(np.int8)).words[0]
+        full = np.argsort(hamming_distances(db, qwords), kind="stable")
+        for k in (0, 1, 10, 50):
+            assert np.array_equal(rank(db, qwords, k), full[:k]), k
+
+    # (m + 1) << shift is the bound evaluate searches for at distance m; keys
+    # are uint32 while it fits, uint64 from the next m on.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4096, 50_000, 2**20, 2**20 + 1, 2**31])
+    def test_key_width_boundary(self, n):
+        _, shift = retrieval._key_layout(n, 1)
+        assert 1 << (shift - 1) <= 2 * n - 1 < 1 << shift  # id << 1 | flag, no spare bit
+        m = ((2**32 - 1) >> shift) - 1  # the largest m with (m + 1) << shift < 2**32
+        assert retrieval._key_layout(n, m) == (np.uint32, shift)
+        assert retrieval._key_layout(n, m + 1) == (np.uint64, shift)
 
     def test_metric_bounds(self):
         rng = np.random.default_rng(7)
@@ -308,7 +352,7 @@ class TestGroundTruthIO:
                 GroundTruth([bad])
 
     def test_ids_are_copied_and_caller_array_unchanged(self):
-        # Sorted int64 ids are copied too: evaluate's speed relies on it (see _sorted_unique).
+        # Sorted int64 ids are copied too, so a caller's array is never aliased or made read-only.
         for given in (np.array([2, 5, 9], dtype=np.int64), np.array([9, 2, 5, 2], dtype=np.int64),
                       np.array([2, 5, 9], dtype=np.int32)):
             before = given.copy()
@@ -316,6 +360,53 @@ class TestGroundTruthIO:
             assert held.tolist() == [2, 5, 9] and held.dtype == np.int64
             assert not np.shares_memory(held, given)
             assert np.array_equal(given, before)
+
+    def test_object_given_twice_is_copied_once(self):
+        a = np.array([5, 2, 9, 2])
+        before = a.copy()
+        gt = GroundTruth([a, a, [5, 2, 9]])
+        assert gt.relevant[0] is gt.relevant[1]  # one copy, shared
+        assert gt.relevant[2] is not gt.relevant[0] and gt.relevant[2].tolist() == [2, 5, 9]
+        assert not np.shares_memory(gt.relevant[0], a)
+        assert not gt.relevant[0].flags.writeable and a.flags.writeable
+        assert np.array_equal(a, before)
+        with pytest.raises(ValueError, match="read-only"):
+            gt.relevant[0][0] = 7
+        # Objects that only the constructor's argument holds are not told apart
+        # by an id() that a later object reuses.
+        held = GroundTruth([i] for i in range(50)).relevant
+        assert [r.tolist() for r in held] == [[i] for i in range(50)]
+
+    def test_repeated_lines_share_one_read_only_array(self, tmp_path):
+        rng = np.random.default_rng(8)
+        labels, q_labels = rng.integers(0, 4, 200), rng.integers(0, 4, 30)
+        lines = {c: " ".join(map(str, np.flatnonzero(labels == c))) for c in range(4)}
+        path = tmp_path / "gt.txt"
+        path.write_text("".join(lines[c] + "\n" for c in q_labels.tolist()), encoding="utf-8")
+        gt = load_ground_truth(path)
+        assert len({id(r) for r in gt.relevant}) == len(set(q_labels.tolist()))
+        for qi, c in enumerate(q_labels.tolist()):
+            first = gt.relevant[int(np.flatnonzero(q_labels == c)[0])]
+            assert gt.relevant[qi] is first and not first.flags.writeable
+            assert first.tolist() == np.flatnonzero(labels == c).tolist()
+        # Unshared copies score the same.
+        unshared = GroundTruth([r.copy() for r in gt.relevant])
+        assert len({id(r) for r in unshared.relevant}) == len(q_labels)
+        db = CodeDatabase(packed_from_signs(rng.choice([-1, 1], size=(200, 16)).astype(np.int8)))
+        queries = packed_from_signs(rng.choice([-1, 1], size=(30, 16)).astype(np.int8))
+        shared_report, unshared_report = (evaluate(db, queries, g, k=20, radius=3) for g in (gt, unshared))
+        for name in ("precision_at_k", "map", "pr_auc", "prec_within_r2", "n_empty_relevant"):
+            assert getattr(shared_report, name) == getattr(unshared_report, name), name
+        assert np.array_equal(shared_report.pr_precision, unshared_report.pr_precision)
+        assert np.array_equal(shared_report.pr_recall, unshared_report.pr_recall)
+
+    def test_repeated_malformed_line_fails_at_its_first_line(self, tmp_path):
+        path = tmp_path / "gt.txt"
+        for text, first in (("1 2\n3 x\n1 2\n3 x\n", 2), ("1 2\n1 2\n4 -\n1 2\n4 -\n", 3),
+                            ("5\n-4\n-4\n", 2)):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"malformed ground truth at line {first}: "):
+                load_ground_truth(path)
 
     def test_negative_id_rejected(self, tmp_path):
         path = tmp_path / "gt.txt"
