@@ -52,7 +52,6 @@ from .retrieval import (
     hamming_distances,
     load_ground_truth,
     rank,
-    save_ground_truth,
 )
 
 __version__ = "0.1.0"

@@ -61,8 +61,10 @@ def cmd_gen_data(args) -> int:
         raise UsageError("--n must be >= --clusters")
     if args.d < 1:
         raise UsageError("--d must be >= 1")
-    if args.spread < 0:
-        raise UsageError("--spread must be >= 0")
+    if not (np.isfinite(args.spread) and args.spread >= 0):
+        raise UsageError("--spread must be finite and >= 0")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     with _stage("data"):
         ds = data.generate_clusters(args.n, args.clusters, args.d, args.spread, args.seed)
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -107,18 +109,20 @@ def cmd_train(args) -> int:
         raise UsageError("--bits must be >= 1")
     if args.sweeps < 1:
         raise UsageError("--sweeps must be >= 1")
-    if args.c is not None and not args.c > 0:
-        raise UsageError("--c must be positive")
+    if args.c is not None and not (np.isfinite(args.c) and args.c > 0):
+        raise UsageError("--c must be positive and finite")
     if args.epochs < 1:
         raise UsageError("--epochs must be >= 1")
     if args.anchors < 1:
         raise UsageError("--anchors must be >= 1")
-    if not args.bandwidth_t > 0:
-        raise UsageError("--bandwidth-t must be positive")
+    if not (np.isfinite(args.bandwidth_t) and args.bandwidth_t > 0):
+        raise UsageError("--bandwidth-t must be positive and finite")
     if not 0 < args.percentile < 100:
         raise UsageError("--percentile must lie in (0, 100)")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
 
     labeled = args.labeled or args.supervision == "labels"
     ds = _load_for(args, labeled)

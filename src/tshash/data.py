@@ -230,8 +230,8 @@ def generate_clusters(n: int, clusters: int, d: int, spread: float, seed: int) -
         raise ValueError("n must be >= clusters")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if spread < 0:
-        raise ValueError("spread must be >= 0")
+    if not (np.isfinite(spread) and spread >= 0):
+        raise ValueError("spread must be finite and >= 0")
 
     centers = np.zeros((clusters, d))
     if d == 1:

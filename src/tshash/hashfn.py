@@ -105,8 +105,8 @@ class ClassifierConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c is not None and not self.c > 0:
-            raise ValueError("c must be positive")
+        if self.c is not None and not (np.isfinite(self.c) and self.c > 0):
+            raise ValueError("c must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 

@@ -2,11 +2,12 @@
 
 A database point's id is its row in the database codes. Rankings sort by
 ascending Hamming distance with ties broken by ascending id, which makes
-every downstream metric deterministic; one sort of the keys
-dist << shift | id << 1 gives that order (_sort_keys). Four metrics are
-reported: precision at K, mean average precision over the full ranking,
-area under the precision-recall curve sampled at the m+1 integer distance
-thresholds, and precision within a fixed Hamming radius.
+every downstream metric deterministic. Top-k ranking takes a stable
+argsort of the distances (_ranked_order); evaluation sorts packed keys
+(_query_stats). Four metrics are reported: precision at K, mean average
+precision over the full ranking, area under the precision-recall curve
+sampled at the m+1 integer distance thresholds, and precision within a
+fixed Hamming radius.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "hamming_distances",
     "rank",
     "evaluate",
-    "save_ground_truth",
     "load_ground_truth",
     "write_report_json",
     "write_report_csv",
@@ -37,11 +37,10 @@ __all__ = [
 
 DEFAULT_K = 300
 DEFAULT_RADIUS = 2
-# Top-k selection takes a dozen numpy calls, about 20 us whatever N is; one
-# sort of all N costs about 4 to 5 ns a point (the radix argsort this was
-# measured with, and the uint32 key sort that replaced it, alike). The two met
-# between 2,000 and 10,000 points (m = 8 to 64, 2-core Xeon), so smaller
-# databases sort all N.
+# Top-k selection takes a dozen numpy calls, about 20 us whatever N is; the
+# stable (radix) argsort of all N distances costs about 4 to 5 ns a point. The
+# two met between 2,000 and 10,000 points (m = 8 to 64, 2-core Xeon), so
+# smaller databases sort all N.
 _SELECT_MIN_N = 4096
 
 
@@ -193,51 +192,21 @@ def _key_layout(n: int, m: int) -> tuple[type, int]:
     return (np.uint32 if (m + 1) << shift < 1 << 32 else np.uint64), shift
 
 
-def _sort_keys(keys, dists, id_keys, shift: int, relevant=None) -> np.ndarray:
-    """Fill keys with dist << shift | id << 1 | (id in relevant) and sort them in place.
+def _ranked_order(db: CodeDatabase, query_words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest ids, by ascending distance and id on ties, and every distance.
 
-    id_keys holds id << 1 for each point of dists. Ids are unique, so any
-    sort of the keys gives the (distance, id) order: ascending distance,
-    ties by ascending id. A key is odd when its point is relevant.
-    """
-    np.copyto(keys, dists)
-    keys <<= shift
-    keys |= id_keys
-    if relevant is not None:
-        keys[relevant] |= 1
-    keys.sort()
-    return keys
-
-
-def _key_ids(keys: np.ndarray, shift: int) -> np.ndarray:
-    """The ids in sort keys, as intp."""
-    ids = keys.astype(np.intp)
-    ids >>= 1
-    ids &= (1 << (shift - 1)) - 1
-    return ids
-
-
-def _ranked_order(
-    db: CodeDatabase, query_words: np.ndarray, k: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ids by ascending distance, id-ascending on ties, and every distance.
-
-    With k None the order covers all N points. With k given it is the first
-    k of that order: the k nearest lie within the k-th smallest distance t,
-    so only the points within t are sorted, unless they are more than half
-    of N or N is below _SELECT_MIN_N, when sorting all N costs no more.
+    A stable argsort of the distances in id order gives that order. The k
+    nearest lie within the k-th smallest distance t, so only the points
+    within t (listed by ascending id) are sorted, unless they are more than
+    half of N or N is below _SELECT_MIN_N, when sorting all N costs no more.
     """
     dists = hamming_distances(db, query_words)
-    dtype, shift = _key_layout(db.n, db.m)
     if k and dists.size >= _SELECT_MIN_N and 2 * k <= dists.size:
         t, count = _kth_distance(dists, k)
         if 2 * count <= dists.size:
             cand = np.flatnonzero(dists <= t)
-            keys = _sort_keys(np.empty(cand.size, dtype), dists[cand], cand.astype(dtype) << 1, shift)
-            return _key_ids(keys[:k], shift), dists
-    id_keys = np.arange(0, 2 * dists.size, 2, dtype=dtype)
-    keys = _sort_keys(np.empty(dists.size, dtype), dists, id_keys, shift)
-    return _key_ids(keys[:k], shift), dists
+            return cand[np.argsort(dists[cand], kind="stable")[:k]], dists
+    return np.argsort(dists, kind="stable")[:k], dists
 
 
 def rank(db: CodeDatabase, query_words: np.ndarray, k: int) -> np.ndarray:
@@ -264,35 +233,39 @@ class _RankBuffers:
         self.one_to_n = np.arange(1, n + 1, dtype=np.float64)
 
 
-def _query_stats(db: CodeDatabase, buf: _RankBuffers, qwords, relevant, k, radius):
-    """AP, P@k, radius precision and the PR-curve precision and recall rows of
-    one query whose relevant set is nonempty.
+def _query_stats(db: CodeDatabase, buf: _RankBuffers, qwords, relevant, k):
+    """AP, P@k and the PR-curve precision and recall rows of one query whose
+    relevant set is nonempty.
 
-    One sort of the keys ranks the query (_sort_keys). Counting keys below
-    each bound gives n_ret, the odd keys' positions give hits, the 0-based
-    ranks of the relevant points in ascending order, and the hits below
-    n_ret[t] give n_rel_ret. The i-th hit is preceded by i relevant points,
-    and searchsorted(hits, k) of them lie in the top k, so no N-length
-    cumulative sum is needed.
+    One in-place sort of the keys dist << shift | id << 1 | relevant ranks
+    the query in _ranked_order's (distance, id) order, as ids are unique.
+    Counting keys below each bound gives n_ret, the odd (relevant) keys'
+    positions give hits, the 0-based ranks of the relevant points in
+    ascending order, and the hits below n_ret[t] give n_rel_ret. The i-th
+    hit is preceded by i relevant points, and searchsorted(hits, k) of them
+    lie in the top k, so no N-length cumulative sum is needed.
     """
     m = db.m
     dists = hamming_distances(db, qwords, out=buf.dists, scratch=buf.xor)
-    keys = _sort_keys(buf.keys, dists, buf.id_keys, buf.shift, relevant)
+    keys = buf.keys
+    np.copyto(keys, dists)
+    keys <<= buf.shift
+    keys |= buf.id_keys
+    keys[relevant] |= 1
+    keys.sort()
     # n_ret[t] points lie within distance t, n_rel_ret[t] of them relevant.
     n_ret = np.searchsorted(keys, buf.bounds)
     np.bitwise_and(keys, 1, out=buf.odd, casting="unsafe")
     hits = np.flatnonzero(buf.odd)
     n_rel_ret = np.searchsorted(hits, n_ret).astype(np.float64)
     n_ret = n_ret.astype(np.float64)
-    t = min(radius, m)
-    prec_r2 = float(n_rel_ret[t] / n_ret[t]) if n_ret[t] else 0.0
 
     ap = float(np.mean(buf.one_to_n[: hits.size] / (hits + 1.0)))
     p_at_k = float(np.searchsorted(hits, k) / k)
 
     prec_curve = np.divide(n_rel_ret, n_ret, out=np.zeros(m + 1), where=n_ret > 0)
     recall_curve = n_rel_ret / relevant.size
-    return ap, p_at_k, prec_r2, prec_curve, recall_curve
+    return ap, p_at_k, prec_curve, recall_curve
 
 
 def evaluate(
@@ -331,12 +304,12 @@ def evaluate(
     if not scored.any():
         raise ValueError("every query has an empty relevant set; MAP is undefined")
 
-    ap, p_at_k, prec_r2 = np.zeros(nq), np.zeros(nq), np.zeros(nq)
+    ap, p_at_k = np.zeros(nq), np.zeros(nq)
     prec, recall = np.zeros((nq, m + 1)), np.zeros((nq, m + 1))
     buf = _RankBuffers(db)
     for qi in np.flatnonzero(scored):
-        ap[qi], p_at_k[qi], prec_r2[qi], prec[qi], recall[qi] = _query_stats(
-            db, buf, queries.words[qi], gt.relevant[qi], k, radius
+        ap[qi], p_at_k[qi], prec[qi], recall[qi] = _query_stats(
+            db, buf, queries.words[qi], gt.relevant[qi], k
         )
 
     prec_curve = prec[scored].mean(axis=0)
@@ -345,7 +318,7 @@ def evaluate(
         precision_at_k=float(p_at_k[scored].mean()),
         map=float(ap[scored].mean()),
         pr_auc=float(np.trapezoid(prec_curve, recall_curve)),
-        prec_within_r2=float(prec_r2.mean()),
+        prec_within_r2=float(prec[:, min(radius, m)].mean()),
         k=k,
         radius=radius,
         m=m,
@@ -354,14 +327,6 @@ def evaluate(
         pr_precision=prec_curve,
         pr_recall=recall_curve,
     )
-
-
-def save_ground_truth(gt: GroundTruth, path) -> None:
-    """One line per query: space-separated relevant db ids, empty line = empty set."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for relevant in gt.relevant:
-            fh.write(" ".join(map(str, relevant.tolist())))
-            fh.write("\n")
 
 
 _LONE_SIGN = re.compile(r"[+-](?!\d)")

@@ -70,6 +70,15 @@ class TestGenData:
                     "--clusters", "3", "--seed", "0"])
         assert code == 2
 
+    # A negative seed, which SeedSequence refuses, and a spread that would
+    # make non-finite features are refused before any file is written.
+    @pytest.mark.parametrize("bad", [["--seed", "-1"], ["--spread", "inf"], ["--spread", "nan"]])
+    def test_negative_seed_or_non_finite_spread_is_usage_error(self, tmp_path, capsys, bad):
+        argv = ["gen-data", str(tmp_path / "x.csv"), "--n", "10", "--clusters", "2", "--seed", "0", *bad]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not list(tmp_path.iterdir())
+
 
 class TestTrain:
     def test_writes_model_and_monotone_trace(self, tmp_path):
@@ -137,6 +146,17 @@ class TestTrain:
                     "--seed", "0"])
         assert code == 1
         assert "data:" in capsys.readouterr().err
+
+    # A negative seed reached SeedSequence outside any stage (a traceback);
+    # c = inf and bandwidth t = inf failed only at the model stage.
+    @pytest.mark.parametrize("bad", [["--seed", "-1"], ["--c", "inf"], ["--bandwidth-t", "inf"]])
+    def test_negative_seed_or_non_finite_option_is_usage_error(self, tmp_path, capsys, bad):
+        data = gen(tmp_path)
+        code = run(["train", str(data), "--model-out", str(tmp_path / "m.json"),
+                    "--loss", "ksh", "--bits", "4", "--seed", "0", *bad])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (tmp_path / "m.json.trace.csv").exists()
 
     def test_bad_bits_is_usage_error(self, tmp_path):
         # --epochs 0 must also be refused before any training starts

@@ -253,6 +253,11 @@ class TestGenerateClusters:
             rows = ds.features[ds.labels == lab]
             assert np.ptp(rows, axis=0).max() == 0.0
 
+    @pytest.mark.parametrize("spread", [-0.1, math.inf, math.nan])
+    def test_negative_or_non_finite_spread_rejected(self, spread):
+        with pytest.raises(ValueError, match="spread must be finite and >= 0"):
+            generate_clusters(10, 2, 2, spread, seed=0)
+
     def test_deterministic(self):
         a = generate_clusters(50, 2, 3, 0.2, seed=9)
         b = generate_clusters(50, 2, 3, 0.2, seed=9)

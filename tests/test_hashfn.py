@@ -64,6 +64,12 @@ class TestTrainBitClassifier:
         with pytest.raises(ValueError):
             train_bit_classifier(np.ones((3, 1)), np.ones(2), ClassifierConfig())
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_non_positive_or_non_finite_c_rejected(self, c):
+        # c = inf would make the L2 coefficient 1 / (c * n) zero, and SGD divide by it.
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            ClassifierConfig(c=c)
+
     def test_objective_beats_zero_baseline(self):
         rng = np.random.default_rng(3)
         for trial in range(10):

@@ -13,7 +13,6 @@ from tshash.retrieval import (
     hamming_distances,
     load_ground_truth,
     rank,
-    save_ground_truth,
     write_pr_csv,
     write_report_csv,
     write_report_json,
@@ -39,7 +38,8 @@ def random_instance(rng, n_db, n_q, m):
 def check_query_stats_against_reference(m, key_dtype=np.uint32):
     """_query_stats against oracle.reference_query_stats with ==, over a grid:
     heavy ties, distinct codes and N = 1; four relevant sets; k at both ends
-    of [1, N]; radii 0, 2, m and m + 300."""
+    of [1, N]. The oracle's precision within radii 0, 2, m and m + 300 must
+    equal the returned curve at min(radius, m), where evaluate reads it."""
     rng = np.random.default_rng(500 + m)
     pool = rng.choice([-1, 1], size=(4, m)).astype(np.int8)
     databases = [
@@ -62,16 +62,19 @@ def check_query_stats_against_reference(m, key_dtype=np.uint32):
         for qwords in [*queries.words, codes.words[0]]:
             for relevant in relevant_sets:
                 for k in (1, n):
+                    got = _query_stats(db, buf, qwords, relevant, k) if relevant.size else None
                     for radius in (0, 2, m, m + 300):
                         want = oracle.reference_query_stats(db, qwords, relevant, k, radius, m)
-                        if not relevant.size:
-                            # evaluate does not rank such a query: its
-                            # radius precision is the 0 it starts from.
+                        if got is None:
+                            # evaluate does not rank such a query: its curve
+                            # row, radius precision included, stays 0.
                             assert want == (None, None, 0.0, None, None)
                             continue
-                        got = _query_stats(db, buf, qwords, relevant, k, radius)
-                        for g, w in zip(got, want):
-                            assert np.array_equal(g, w), (n, k, radius)
+                        ap, p_at_k, prec_curve, recall_curve = got
+                        assert (ap, p_at_k) == want[:2], (n, k)
+                        assert np.array_equal(prec_curve, want[3]), (n, k)
+                        assert np.array_equal(recall_curve, want[4]), (n, k)
+                        assert prec_curve[min(radius, m)] == want[2], (n, k, radius)
 
 
 def one_row_distance(a, b):
@@ -275,17 +278,32 @@ class TestEvaluate:
     # Keys are uint32 at these sizes; the same grid on uint64 keys covers the
     # wide layout that a large N times a large m needs.
     @pytest.mark.parametrize("m", [1, 8, 64, 70, 600])
-    def test_query_stats_and_rank_on_uint64_keys(self, m, monkeypatch):
+    def test_query_stats_on_uint64_keys(self, m, monkeypatch):
         layout = retrieval._key_layout
         monkeypatch.setattr(retrieval, "_key_layout", lambda n, m: (np.uint64, layout(n, m)[1]))
-        monkeypatch.setattr(retrieval, "_SELECT_MIN_N", 0)
         check_query_stats_against_reference(m, key_dtype=np.uint64)
-        rng = np.random.default_rng(600 + m)
-        db = CodeDatabase(packed_from_signs(rng.choice([-1, 1], size=(50, m)).astype(np.int8)))
-        qwords = packed_from_signs(rng.choice([-1, 1], size=(1, m)).astype(np.int8)).words[0]
-        full = np.argsort(hamming_distances(db, qwords), kind="stable")
-        for k in (0, 1, 10, 50):
-            assert np.array_equal(rank(db, qwords, k), full[:k]), k
+
+    # evaluate sorts packed keys and rank argsorts distances; on a database of
+    # heavy ties both must follow one tie rule, on both of rank's paths.
+    @pytest.mark.parametrize("select", [False, True])
+    def test_rank_and_evaluate_share_one_tie_rule(self, select, monkeypatch):
+        if select:
+            monkeypatch.setattr(retrieval, "_SELECT_MIN_N", 0)
+        rng = np.random.default_rng(77)
+        m, n = 16, 300
+        pool = rng.choice([-1, 1], size=(3, m)).astype(np.int8)
+        db = CodeDatabase(packed_from_signs(pool[rng.integers(0, 3, n)]))
+        relevant = np.sort(rng.choice(n, size=60, replace=False))
+        # Two random queries and one equal to a database code.
+        for signs in [*rng.choice([-1, 1], size=(2, m)), pool[0]]:
+            query = packed_from_signs(signs[None])
+            qwords = query.words[0]
+            hits = np.flatnonzero(np.isin(rank(db, qwords, n), relevant))
+            ap = float(np.mean(np.arange(1, hits.size + 1) / (hits + 1.0)))
+            for k in (1, 10, 50, 150, n):
+                report = evaluate(db, query, GroundTruth([relevant]), k=k)
+                assert report.precision_at_k == np.isin(rank(db, qwords, k), relevant).sum() / k, k
+                assert report.map == ap
 
     # (m + 1) << shift is the bound evaluate searches for at distance m; keys
     # are uint32 while it fits, uint64 from the next m on.
@@ -329,7 +347,7 @@ class TestGroundTruthIO:
     def test_round_trip_with_empty_sets(self, tmp_path):
         gt = GroundTruth([frozenset({3, 1}), [], np.array([0, 0])])
         path = tmp_path / "gt.txt"
-        save_ground_truth(gt, path)
+        path.write_text("3 1\n\n0 0\n", encoding="utf-8")
         back = load_ground_truth(path)
         assert [r.tolist() for r in back.relevant] == [[1, 3], [], [0]]
         assert [r.tolist() for r in gt.relevant] == [[1, 3], [], [0]]
