@@ -11,9 +11,9 @@ problem comes in one of two forms, chosen by learn_codes from its input:
   A.z costs O(n(m + c)), no pair is stored, and the minimum eigenpair is
   solved exactly in span[R | C] with numpy alone.
 - BqpInstance, for every other input. The pairs never change between
-  updates, so the sparse structure of A is built once and only its
-  coefficients are rewritten per bit. Its minimum eigenpair comes from
-  Lanczos iteration (scipy's ARPACK).
+  updates, so the sparse structure of A is built once; per bit, each pair's
+  coefficient is one lookup in a (y, sbar) table. Its minimum eigenpair
+  comes from Lanczos iteration (scipy's ARPACK).
 
 Both forms expose A.z (matvec) and the minimum eigenpair (min_eigenpair),
 which is all that spectral_relax and box_relax ask of them.
@@ -93,23 +93,24 @@ class BqpInstance:
     """Per-bit binary quadratic problem z.T A z on a fixed set of point pairs.
 
     Each pair p = (i[p], j[p]) owns the two entries A[i, j] = A[j, i];
-    every other entry, the diagonal included, is zero. The CSR structure is
-    built once; set_coefficients rewrites the pair values in place.
+    every other entry, the diagonal included, is zero. Duplicate, mirrored
+    and self pairs raise ValueError. The CSR structure (sorted within rows,
+    zero at first) is built once; set_coefficients rewrites it in place.
     """
 
     def __init__(self, n: int, i: np.ndarray, j: np.ndarray):
         # Imported here so that commands which never train do not load scipy.
         from scipy import sparse
 
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
-        order = np.lexsort((cols, rows))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        # CSR slot -> pair index, so that .data = a[_slot_pair].
-        self._slot_pair = np.concatenate([np.arange(i.size), np.arange(i.size)])[order]
-        self.matrix = sparse.csr_matrix(
-            (np.zeros(order.size), cols[order], indptr), shape=(n, n)
-        )
+        # Pair p's two entries hold p + 1; the conversion sorts them into CSR
+        # order, so .data then maps each slot to its pair.
+        ids = np.tile(np.arange(1.0, i.size + 1), 2)
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        self.matrix = sparse.coo_matrix((ids, (rows, cols)), shape=(n, n)).tocsr()
+        if self.matrix.nnz != ids.size:  # the conversion summed coinciding entries
+            raise ValueError("pairs must be distinct, unordered and off the diagonal")
+        self._slot_pair = self.matrix.data.astype(np.intp) - 1
+        self.matrix.data[:] = 0.0
 
     def set_coefficients(self, a: np.ndarray) -> None:
         """Set A[i, j] = A[j, i] = a[p] for every pair p."""
@@ -433,12 +434,13 @@ def learn_codes(
     update_bit call reports; those changes are never positive, so the
     trace is non-increasing by construction. Label-form supervision with
     ksh or bre takes LowRankBqp and never builds the pairs; any other input
-    takes BqpInstance, on the pairs from sup.arrays().
+    takes BqpInstance, on the pairs from sup.arrays(), and sets each bit's
+    coefficients by one lookup in the 2 x m table of a over (y, sbar).
     """
-    n = sup.n
+    n, m = sup.n, cfg.m
     kind = cfg.loss
     rng = np.random.default_rng(cfg.seed)
-    bits = (rng.integers(0, 2, size=(n, cfg.m), dtype=np.int8) * 2 - 1).astype(np.int8)
+    bits = (rng.integers(0, 2, size=(n, m), dtype=np.int8) * 2 - 1).astype(np.int8)
 
     low_rank = sup.labels is not None and kind.tag in _LOW_RANK_LOSSES
     if low_rank:
@@ -449,15 +451,17 @@ def learn_codes(
         bqp = BqpInstance(n, i, j)
         s = _pair_products(bits, i, j)
         objective = _total_loss(kind, s, y)
+        # a depends only on (sbar, y): row y > 0, column (sbar + m - 1) / 2.
+        table, _ = quadratic_coeffs(kind, np.arange(1 - m, m, 2), np.array([[-1.0], [1.0]]))
+        row = (y > 0).astype(np.intp)
     trace: list[TraceEntry] = []
     for sweep in range(cfg.sweeps):
-        for k in range(cfg.m):
+        for k in range(m):
             if low_rank:
                 bqp.set_rest(np.delete(bits, k, axis=1))
             else:
                 sbar = s - bits[i, k].astype(np.int64) * bits[j, k]
-                a, _ = quadratic_coeffs(kind, sbar, y)
-                bqp.set_coefficients(a)
+                bqp.set_coefficients(table[row, (sbar + m - 1) >> 1])
             col, delta = update_bit(bqp, bits[:, k], derive_seed(cfg.seed, sweep, k))
             bits[:, k] = col
             if not low_rank:

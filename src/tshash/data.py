@@ -257,9 +257,9 @@ def generate_clusters(n: int, clusters: int, d: int, spread: float, seed: int) -
 class PairSupervision:
     """Symmetric affinity relation on point pairs, held as pairs or as labels.
 
-    Pair form: each stored entry (i, j, y) has i < j and a finite y != 0
-    (positive means similar), and stands for both orders; absent pairs carry
-    no relation. Label form (labels, no entries): all n(n-1)/2 pairs,
+    Pair form: each stored entry (i, j, y) has i < j and y = +1 (similar)
+    or -1 (dissimilar), and stands for both orders; absent pairs carry no
+    relation. Label form (labels, no entries): all n(n-1)/2 pairs,
     y = +1 on same-class pairs and -1 otherwise, with only the labels
     stored. arrays() builds its pairs on every call and nothing keeps them;
     ksh and bre code inference reads only the labels.
@@ -280,10 +280,8 @@ class PairSupervision:
         y = np.ascontiguousarray(y, dtype=np.float64)
         if not (i.shape == j.shape == y.shape):
             raise DataFormatError("supervision arrays must have equal length")
-        if not np.isfinite(y).all():
-            raise DataFormatError("affinities must be finite")
-        if not y.all():
-            raise DataFormatError("affinities must be nonzero")
+        if not np.all(np.abs(y) == 1.0):
+            raise DataFormatError("affinities must be -1 or +1")
         if i.size:
             if i.min() < 0 or j.max() >= n:
                 raise DataFormatError("pair index out of range")
@@ -435,8 +433,8 @@ def rbf_bandwidth(ds: Dataset, t: float) -> float:
     """
     if ds.n < 2:
         raise ValueError("need at least 2 points to estimate a bandwidth")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     k = min(_BANDWIDTH_NEIGHBORS, ds.n - 1)
     # Each row's k smallest, sorted, go into the first k columns of an
     # n x (k+1) buffer. That view is strided like the k-slice of a fully

@@ -87,7 +87,42 @@ class TestCodeMatrix:
             cm.bits[0, 0] = -1
 
 
+def lexsort_csr(n, i, j):
+    """Reference CSR layout: indptr, column indices and each slot's pair, by (row, column)."""
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return indptr, cols[order], np.tile(np.arange(i.size), 2)[order]
+
+
 class TestBqpInstance:
+    @pytest.mark.parametrize("n, pairs", [(1, 0), (4, 0), (2, 1), (9, 36), (40, 200), (300, 5000)])
+    def test_layout_matches_lexsort(self, n, pairs):
+        rng = np.random.default_rng(n + pairs)
+        i, j = np.triu_indices(n, 1)
+        keep = rng.choice(i.size, size=pairs, replace=False)
+        flip = rng.random(pairs) < 0.5  # pairs in any order, either way round
+        i, j = np.where(flip, j[keep], i[keep]), np.where(flip, i[keep], j[keep])
+        bqp = BqpInstance(n, i, j)
+        csr = bqp.matrix
+        assert csr.nnz == 2 * pairs and not csr.toarray().any()
+        indptr, indices, slot_pair = lexsort_csr(n, i, j)
+        assert np.array_equal(csr.indptr, indptr) and np.array_equal(csr.indices, indices)
+        row = np.repeat(np.arange(n), np.diff(csr.indptr))
+        assert np.all(np.diff(row * n + csr.indices) > 0)  # sorted within each row
+        bqp.set_coefficients(np.arange(1.0, pairs + 1))
+        assert np.array_equal(csr.data, slot_pair + 1.0)
+
+    @pytest.mark.parametrize("i, j", [
+        pytest.param([0, 0], [1, 1], id="duplicate"),
+        pytest.param([0, 2], [2, 0], id="mirrored"),
+        pytest.param([1], [1], id="self"),
+        pytest.param([0, 2], [1, 2], id="self-among-others"),
+    ])
+    def test_rejects_coinciding_entries(self, i, j):
+        with pytest.raises(ValueError, match="distinct, unordered and off the diagonal"):
+            BqpInstance(3, np.array(i), np.array(j))
+
     def test_quad_matches_dense_form(self):
         rng = np.random.default_rng(0)
         bqp = random_bqp(rng, 7)
@@ -386,6 +421,39 @@ class TestLearnCodes:
         assert np.array_equal(a.bits, b.bits)
         assert trace_a == trace_b
 
+    @pytest.mark.parametrize("tag", LOSS_TAGS)
+    def test_coefficients_match_quadratic_coeffs(self, monkeypatch, tag):
+        # Each bit's coefficients, looked up in the (y, sbar) table, must equal
+        # quadratic_coeffs evaluated pair by pair on the codes of that moment.
+        sup = supervision_from_labels(generate_clusters(24, 3, 2, 0.3, seed=4), 5, seed=2)
+        assert sup.labels is None and set(sup.arrays()[2].tolist()) == {-1.0, 1.0}
+        for m in (1, 2, 8, 33, 64):
+            coeffs, columns = [], []
+
+            class Recording(BqpInstance):
+                def set_coefficients(self, a):
+                    coeffs.append(np.array(a))
+                    super().set_coefficients(a)
+
+            def recording_update(bqp, incumbent, seed=0):
+                before = np.array(incumbent)
+                col, delta = update_bit(bqp, incumbent, seed)
+                columns.append((before, col))
+                return col, delta
+
+            monkeypatch.setattr(codegen, "BqpInstance", Recording)
+            monkeypatch.setattr(codegen, "update_bit", recording_update)
+            kind = LossKind(tag, m)
+            learn_codes(sup, TrainConfig(loss=kind, sweeps=2, seed=m))
+            assert len(coeffs) == len(columns) == 2 * m
+            # The first sweep's incumbents are the initial codes, column by column.
+            bits = np.column_stack([before for before, _ in columns[:m]])
+            for step, a in enumerate(coeffs):
+                k = step % m
+                assert np.array_equal(columns[step][0], bits[:, k])
+                assert np.array_equal(a, bit_coefficients(sup, CodeMatrix(bits.copy()), k, kind))
+                bits[:, k] = columns[step][1]
+
     def test_trace_covers_every_bit_update(self):
         rng = np.random.default_rng(41)
         sup = random_supervision(rng, 12, 20)
@@ -407,7 +475,7 @@ def full_label_supervision(n, classes, seed):
 def pair_form(sup, bits, k, kind):
     """Bit k's BqpInstance on the materialized pairs, as the pair path builds it."""
     bqp = BqpInstance(sup.n, *sup.arrays()[:2])
-    bqp.set_coefficients(bit_coefficients(sup, CodeMatrix(bits), k, kind))
+    bqp.set_coefficients(bit_coefficients(sup, CodeMatrix(bits.copy()), k, kind))
     return bqp
 
 

@@ -301,8 +301,18 @@ class TestPairSupervision:
     # bre would read y = 0 as dissimilar, ksh as s -> 0, ee, exph and splh as a constant.
     def test_rejects_zero_affinity(self):
         for zero in (0.0, -0.0):
-            with pytest.raises(DataFormatError, match="nonzero"):
+            with pytest.raises(DataFormatError, match=r"-1 or \+1"):
                 PairSupervision(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, zero]))
+
+    # bre and ee once read only the sign of y, while ksh, splh and exph scaled by it.
+    @pytest.mark.parametrize("y", [0.5, -2.0, 3.0])
+    def test_rejects_affinity_other_than_a_sign(self, y):
+        with pytest.raises(DataFormatError, match=r"-1 or \+1"):
+            PairSupervision(3, [0, 1], [1, 2], [1.0, y])
+
+    def test_integer_affinities_stored_as_float(self):
+        y = PairSupervision(3, [0, 1], [1, 2], [1, -1]).arrays()[2]
+        assert y.dtype == np.float64 and y.tolist() == [1.0, -1.0]
 
     @pytest.mark.parametrize("n, i, j, y, labels, match", [
         pytest.param(3, [2], [1], [1.0], None, "i < j", id="i-above-j"),
@@ -310,9 +320,9 @@ class TestPairSupervision:
         pytest.param(3, [-1], [1], [1.0], None, "out of range", id="negative-id"),
         pytest.param(3, [0, 1], [1, 2], [1.0], None, "equal length", id="short-y"),
         pytest.param(3, [0], [1, 2], [1.0, 1.0], None, "equal length", id="short-i"),
-        pytest.param(3, [0], [1], [float("nan")], None, "finite", id="nan"),
-        pytest.param(3, [0], [1], [float("inf")], None, "finite", id="inf"),
-        pytest.param(3, [0], [1], [-float("inf")], None, "finite", id="-inf"),
+        pytest.param(3, [0], [1], [float("nan")], None, r"-1 or \+1", id="nan"),
+        pytest.param(3, [0], [1], [float("inf")], None, r"-1 or \+1", id="inf"),
+        pytest.param(3, [0], [1], [-float("inf")], None, r"-1 or \+1", id="-inf"),
         pytest.param(3, [True], [2], [1.0], None, "integers, not booleans", id="boolean-id"),
         pytest.param(3, (), (), (), [0.5, 1, 2], "labels must be integers", id="fractional-label"),
         pytest.param(3, (), (), (), [0, float("nan"), 1], "labels must be integers", id="nan-label"),
@@ -504,6 +514,12 @@ class TestBandwidth:
     def test_degenerate_points_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             rbf_bandwidth(Dataset(np.zeros((4, 2))), 1.0)
+
+    # A NaN or infinite t once passed and failed only later, in KernelConfig.
+    @pytest.mark.parametrize("t", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_t_not_positive_and_finite(self, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            rbf_bandwidth(Dataset(np.array([[0.0], [1.0]])), t)
 
     def test_linear_in_t(self):
         rng = np.random.default_rng(1)
