@@ -475,7 +475,7 @@ def full_label_supervision(n, classes, seed):
 def pair_form(sup, bits, k, kind):
     """Bit k's BqpInstance on the materialized pairs, as the pair path builds it."""
     bqp = BqpInstance(sup.n, *sup.arrays()[:2])
-    bqp.set_coefficients(bit_coefficients(sup, CodeMatrix(bits.copy()), k, kind))
+    bqp.set_coefficients(bit_coefficients(sup, CodeMatrix(bits), k, kind))
     return bqp
 
 
