@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import PairSupervision, derive_seed
+from .data import _BLOCK_ENTRIES, PairSupervision, derive_seed
 from .loss import LossKind, pair_loss, quadratic_coeffs
 
 __all__ = [
@@ -297,8 +297,18 @@ class TrainConfig:
 
 
 def _pair_products(bits: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Inner products of code rows i and j (one value per stored pair)."""
-    return np.sum(bits[i] * bits[j], axis=1, dtype=np.int64)
+    """Inner products of code rows i and j (one value per stored pair).
+
+    The pairs go in blocks of _BLOCK_ENTRIES // m, so the gathered code rows
+    take one block's bytes, not two P x m arrays. The sums are integers, so
+    the blocks change no value.
+    """
+    s = np.empty(i.size, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // bits.shape[1])
+    for start in range(0, i.size, step):
+        rows = slice(start, start + step)
+        np.sum(bits[i[rows]] * bits[j[rows]], axis=1, dtype=np.int64, out=s[rows])
+    return s
 
 
 def _total_loss(kind: LossKind, s: np.ndarray, y: np.ndarray) -> float:

@@ -1,10 +1,12 @@
 """Datasets, pairwise supervision, and RBF kernel preprocessing.
 
-This module needs numpy alone. Pairwise distances are computed by
-_sq_distances in row blocks, one dimension at a time, which gives exactly
-the values of scipy's cdist, so serving commands never import scipy.
-The bandwidth estimate and distance supervision read the distances among
-the training points one row block at a time (_self_distance_blocks) and
+This module needs numpy alone, so serving commands never import scipy.
+Kernel features take their squared distances from one matrix product about
+the anchors' mean (kernel_matrix), which matches scipy's cdist to rounding.
+The distances among the training points, whose values the bandwidth
+estimate and distance supervision compare with cutoffs, are computed
+exactly as cdist computes them, one dimension at a time (_sq_distances);
+those two read them one row block at a time (_self_distance_blocks) and
 keep only what they select from each block, so no n x n matrix is built.
 """
 
@@ -36,7 +38,8 @@ __all__ = [
 _BLOCK_ROWS = 256
 
 # Entries per block of _self_distance_blocks, which takes max(1, this // n) rows
-# of the n x n distances at a time (512 KiB of float64).
+# of the n x n distances at a time (512 KiB of float64). hashfn.encode and
+# codegen._pair_products size their row blocks by it too.
 _BLOCK_ENTRIES = 1 << 16
 
 # Bytes per block when load_dataset scans a CSV, and the only bytes its
@@ -353,6 +356,11 @@ def _sq_distances(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     cdist(x, a, "sqeuclidean") does, so the values are the same bit for bit.
     The sum runs over row blocks, with one scratch buffer of at most
     _BLOCK_ROWS x q, so the n x q result is the only large array.
+
+    It serves the self-distances of _self_distance_blocks only. Their users
+    compare distances with cutoffs, where the rounding of a matrix product,
+    which also differs between d(x, y) and d(y, x), could flip a label;
+    kernel_matrix, whose values no cutoff reads, uses the product.
     """
     n, q = x.shape[0], a.shape[0]
     cols = np.ascontiguousarray(a.T)  # d x q: each dimension's values, contiguous
@@ -376,7 +384,9 @@ def _self_distance_blocks(features: np.ndarray):
 
     A block holds max(1, _BLOCK_ENTRIES // n) rows (fewer in the last one),
     with inf at each row's own column. Each is a fresh array that the caller
-    may reorder in place.
+    may reorder in place. The values are cdist's bit for bit (_sq_distances),
+    so this serves self-distances only: the bandwidth estimate and distance
+    supervision.
     """
     n = features.shape[0]
     step = max(1, _BLOCK_ENTRIES // n)
@@ -488,13 +498,26 @@ def sample_anchors(ds: Dataset, q: int, seed: int) -> np.ndarray:
 
 
 def kernel_matrix(points: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Row-wise RBF responses exp(-||x - anchor||^2 / (2 sigma^2))."""
+    """Row-wise RBF responses exp(-||x - anchor||^2 / (2 sigma^2)).
+
+    With c the anchors' mean, the squared distances are
+    ||x - c||^2 + ||a - c||^2 - 2 (x - c).(a - c), clamped at 0: one matrix
+    product plus the row norms. Centring keeps the cancellation small when
+    the data lie far from the origin; the values match cdist's to within
+    about 1e-15, not bit for bit.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[1] != cfg.d:
         raise ValueError(f"dimension mismatch: points have d={points.shape[1]}, anchors d={cfg.d}")
-    # In place, so the n x q distances are the only large array.
-    out = _sq_distances(points, cfg.anchors)
-    np.negative(out, out=out)
-    out /= 2.0 * cfg.bandwidth**2
+    centre = cfg.anchors.mean(axis=0)
+    x = points - centre
+    a = cfg.anchors - centre
+    # In place, so the n x q distances are the only large array beside x.
+    out = x @ a.T
+    out *= -2.0
+    out += np.vecdot(x, x)[:, None]
+    out += np.vecdot(a, a)
+    np.maximum(out, 0.0, out=out)
+    out /= -2.0 * cfg.bandwidth**2
     return np.exp(out, out=out)
 

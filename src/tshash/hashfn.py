@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import CodeMatrix
-from .data import Dataset, KernelConfig, derive_seed, kernel_matrix
+from .data import _BLOCK_ENTRIES, Dataset, KernelConfig, derive_seed, kernel_matrix
 from .packed import PackedCodes, pack_signs
 
 __all__ = [
@@ -245,12 +245,26 @@ def train_model(
 
 
 def encode(model: HashModel, points: np.ndarray) -> PackedCodes:
-    """Hash a point matrix into packed codes (bit k set iff hash k is +1)."""
+    """Hash a point matrix into packed codes (bit k set iff hash k is +1).
+
+    The points go through in row blocks, each of at most _BLOCK_ENTRIES
+    entries in the widest of its points (d), features (p) and scores (m):
+    a block's features, their product with the weights plus the biases,
+    and its signs, written into one n x m boolean array that is packed at
+    the end. So beside the points and the codes one block is held,
+    whatever n is.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: points have d={points.shape[1]}, model d={model.d}")
-    feats = _feature_matrix(points, model.feature_mode, model.kernel_cfg)
-    return pack_signs(feats @ model.weights + model.biases >= 0.0)
+    step = max(1, _BLOCK_ENTRIES // max(model.d, *model.weights.shape))
+    signs = np.empty((points.shape[0], model.m), dtype=bool)
+    for start in range(0, points.shape[0], step):
+        feats = _feature_matrix(points[start : start + step], model.feature_mode, model.kernel_cfg)
+        scores = feats @ model.weights
+        scores += model.biases
+        np.greater_equal(scores, 0.0, out=signs[start : start + step])
+    return pack_signs(signs)
 
 
 def save_model(model: HashModel, path) -> None:
@@ -268,9 +282,10 @@ def save_model(model: HashModel, path) -> None:
     if model.kernel_cfg is not None:
         doc["bandwidth"] = model.kernel_cfg.bandwidth
         doc["anchors"] = model.kernel_cfg.anchors.tolist()
+    # json.dumps runs the C encoder; json.dump would encode in Python, chunk by chunk.
+    text = json.dumps(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _number_rows(rows) -> bool:

@@ -421,6 +421,19 @@ class TestLearnCodes:
         assert np.array_equal(a.bits, b.bits)
         assert trace_a == trace_b
 
+    def test_pair_products_in_ragged_blocks(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        sup = random_supervision(rng, 20, 40)
+        i, j, _ = sup.arrays()
+        cfg = TrainConfig(loss=LossKind("exph", 5), sweeps=2, seed=9)
+        codes, trace = learn_codes(sup, cfg)
+        monkeypatch.setattr(codegen, "_BLOCK_ENTRIES", 3 * 5)  # 13 blocks of 3 pairs, then 1
+        s = codegen._pair_products(codes.bits, i, j)
+        assert s.dtype == np.int64
+        assert np.array_equal(s, (codes.bits[i].astype(np.int64) * codes.bits[j]).sum(axis=1))
+        again, trace_again = learn_codes(sup, cfg)
+        assert np.array_equal(again.bits, codes.bits) and trace_again == trace
+
     @pytest.mark.parametrize("tag", LOSS_TAGS)
     def test_coefficients_match_quadratic_coeffs(self, monkeypatch, tag):
         # Each bit's coefficients, looked up in the (y, sbar) table, must equal

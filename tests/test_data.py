@@ -587,6 +587,8 @@ class TestKernelFeatures:
 # row, a partial block and more than one block (not a multiple of it).
 DIST_DIMS = [1, 2, 8, 17, 64]
 DIST_ROWS = [1, 40, _BLOCK_ROWS + 77]
+# Kernel values lie in (0, 1]: 16 units of roundoff at 1.
+KERNEL_ATOL = 16 * np.finfo(np.float64).eps
 
 
 class TestDistancesMatchCdist:
@@ -600,15 +602,23 @@ class TestDistancesMatchCdist:
             assert np.array_equal(got, cdist(points, anchors, "sqeuclidean"))
             assert np.array_equal(np.sqrt(got), cdist(points, anchors))
 
-    @pytest.mark.parametrize("d", DIST_DIMS)
+    @pytest.mark.parametrize("d", DIST_DIMS + [320])
     def test_kernel_matrix(self, d):
+        # The features come from a matrix product about the anchors' mean,
+        # so they match cdist's to rounding, also far from the origin: the
+        # largest error measured on these cases is 1.2e-15 (d=1). Without
+        # the centring, the offset of 1e3 gives errors up to 6.4e-10 and
+        # that of 1e6 up to 6.9e-4 (d=320).
         rng = np.random.default_rng(100 + d)
         anchors = rng.normal(size=(37, d))
         bandwidth = 0.7 * math.sqrt(d)
         for n in DIST_ROWS:
             points = rng.normal(size=(n, d))
-            got = kernel_matrix(points, KernelConfig(anchors, bandwidth))
-            assert np.array_equal(got, oracle.cdist_kernel_matrix(points, anchors, bandwidth))
+            for offset in (0.0, 1e3, 1e6):
+                cfg = KernelConfig(anchors + offset, bandwidth)
+                got = kernel_matrix(points + offset, cfg)
+                want = oracle.cdist_kernel_matrix(points + offset, cfg.anchors, bandwidth)
+                assert np.abs(got - want).max() <= KERNEL_ATOL
 
     @pytest.mark.parametrize("d", DIST_DIMS)
     def test_bandwidth(self, d):

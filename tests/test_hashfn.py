@@ -17,6 +17,7 @@ from tshash.hashfn import (
     train_bit_classifier,
     train_model,
 )
+from tshash.packed import pack_signs
 
 import oracle
 
@@ -247,6 +248,18 @@ class TestEncode:
         feats = kernel_matrix(ds.features, model.kernel_cfg)
         manual = np.stack([signs(model.weights[:, k], model.biases[k], feats) for k in range(model.m)], axis=1)
         assert np.array_equal(encode(model, ds.features).signs(), manual)
+
+    @pytest.mark.parametrize("mode", ["raw", "kernel"])
+    def test_row_blocks_match_the_whole_product(self, monkeypatch, mode):
+        ds, _, model = small_model(seed=53, mode=mode)
+        rows = 3
+        points = ds.features[: rows * (ds.n // rows) - 1]  # the last block has 2 rows
+        monkeypatch.setattr(hashfn, "_BLOCK_ENTRIES", rows * max(model.d, *model.weights.shape))
+        feats = hashfn._feature_matrix(points, mode, model.kernel_cfg)
+        got = encode(model, points)
+        assert np.array_equal(got.words, pack_signs(feats @ model.weights + model.biases >= 0.0).words)
+        for edge in (rows - 1, rows, len(points) - 1):
+            assert np.array_equal(encode(model, points[edge : edge + 1]).words, got.words[edge : edge + 1])
 
 
 class TestModelSerialization:

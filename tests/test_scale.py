@@ -9,7 +9,9 @@ supervision allocates no pair array. It also checks that reading a
 50,000-row dataset CSV allocates about twice its result, not a Python
 object per cell, that top-k ranking over 50,000 codes equals the
 prefix of the full stable sort, and that the bandwidth estimate and
-distance supervision at n = 5000 build no n x n distance matrix.
+distance supervision at n = 5000 build no n x n distance matrix, and
+that encoding 50,000 points and the starting inner products of 794,907
+supervised pairs work in blocks, not on whole N x q or P x m arrays.
 """
 
 import tracemalloc
@@ -22,17 +24,20 @@ from tshash.codegen import (
     LowRankBqp,
     SpectralResidualWarning,
     TrainConfig,
+    _pair_products,
     learn_codes,
     pairwise_objective,
     spectral_relax,
 )
 from tshash.data import (
+    KernelConfig,
     generate_clusters,
     load_dataset,
     rbf_bandwidth,
     supervision_from_distance,
     supervision_from_labels,
 )
+from tshash.hashfn import HashModel, encode
 from tshash.loss import LossKind, quadratic_coeffs
 from tshash.packed import pack_signs
 from tshash.retrieval import CodeDatabase, hamming_distances, load_ground_truth, rank
@@ -97,6 +102,44 @@ def test_self_distances_in_row_blocks(build):
     # partners a point). The n x n distance matrix alone is 191 MiB; with it
     # the two peaked at 200.8 and 202.3 MiB.
     assert peak < 16 << 20
+
+
+def test_encode_in_row_blocks():
+    # Retrieve-shaped: 50,000 points in d=8, 150 anchors, m=64.
+    rng = np.random.default_rng(50_000)
+    n, d, q, m = 50_000, 8, 150, 64
+    points = rng.standard_normal((n, d))
+    kcfg = KernelConfig(rng.standard_normal((q, d)), 2.0)
+    weights, biases = rng.standard_normal((q, m)), rng.standard_normal(m)
+    model = HashModel(weights, biases, np.zeros(m, dtype=bool), "kernel", d, kcfg)
+    tracemalloc.start()
+    try:
+        codes = encode(model, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes.n == n
+    # Measured peak: 10.8 MiB, mostly the n x m signs and pack_signs' copies
+    # of them. With all n x q features in one array it was 106.1 MiB.
+    assert peak < 16 << 20
+
+
+def test_pair_products_in_blocks():
+    # 794,907 pairs, as 100 label partners a point give at n=8000, and m=32.
+    rng = np.random.default_rng(8000)
+    n, pairs, m = 8000, 794_907, 32
+    bits = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, m))
+    i, j = rng.integers(0, n, pairs), rng.integers(0, n, pairs)
+    tracemalloc.start()
+    try:
+        s = _pair_products(bits, i, j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(s, np.sum(bits[i] * bits[j], axis=1, dtype=np.int64))
+    # Measured peak: 6.2 MiB, of which the int64 result is 6.1. Gathering
+    # both endpoints' codes whole took 48.5 MiB.
+    assert peak < 8 << 20
 
 
 def dense_matrix(labels, rest, kind, block=500):
