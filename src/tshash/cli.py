@@ -55,18 +55,15 @@ def _stage(name: str):
 
 
 def cmd_gen_data(args) -> int:
-    if args.clusters < 2:
-        raise UsageError("--clusters must be >= 2")
-    if args.n < args.clusters:
-        raise UsageError("--n must be >= --clusters")
-    if args.d < 1:
-        raise UsageError("--d must be >= 1")
-    if not (np.isfinite(args.spread) and args.spread >= 0):
-        raise UsageError("--spread must be finite and >= 0")
+    # numpy's own message for a negative seed does not name the flag.
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     with _stage("data"):
-        ds = data.generate_clusters(args.n, args.clusters, args.d, args.spread, args.seed)
+        # generate_clusters checks the ranges, before any file is opened.
+        try:
+            ds = data.generate_clusters(args.n, args.clusters, args.d, args.spread, args.seed)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         with open(args.out, "w", encoding="utf-8") as fh:
             for row, label in zip(ds.features, ds.labels):
                 cells = [repr(float(v)) for v in row] + [str(int(label))]

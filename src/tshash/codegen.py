@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _BLOCK_ENTRIES, PairSupervision, derive_seed
+from .data import PairSupervision, _row_blocks, derive_seed
 from .loss import LossKind, pair_loss, quadratic_coeffs
 
 __all__ = [
@@ -299,14 +299,12 @@ class TrainConfig:
 def _pair_products(bits: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Inner products of code rows i and j (one value per stored pair).
 
-    The pairs go in blocks of _BLOCK_ENTRIES // m, so the gathered code rows
-    take one block's bytes, not two P x m arrays. The sums are integers, so
-    the blocks change no value.
+    The pairs go in _row_blocks m wide, so the gathered code rows take one
+    block's bytes, not two P x m arrays. The sums are integers, so the
+    blocks change no value.
     """
     s = np.empty(i.size, dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // bits.shape[1])
-    for start in range(0, i.size, step):
-        rows = slice(start, start + step)
+    for rows in _row_blocks(i.size, bits.shape[1]):
         np.sum(bits[i[rows]] * bits[j[rows]], axis=1, dtype=np.int64, out=s[rows])
     return s
 

@@ -8,6 +8,7 @@ estimate and distance supervision compare with cutoffs, are computed
 exactly as cdist computes them, one dimension at a time (_sq_distances);
 those two read them one row block at a time (_self_distance_blocks) and
 keep only what they select from each block, so no n x n matrix is built.
+Every blocked loop in the package takes its blocks from _row_blocks.
 """
 
 from __future__ import annotations
@@ -34,12 +35,8 @@ __all__ = [
 ]
 
 
-# Rows of x per block of _sq_distances; its scratch buffer is this many rows by q.
-_BLOCK_ROWS = 256
-
-# Entries per block of _self_distance_blocks, which takes max(1, this // n) rows
-# of the n x n distances at a time (512 KiB of float64). hashfn.encode and
-# codegen._pair_products size their row blocks by it too.
+# Entries per row block of _row_blocks (512 KiB of float64): a block of rows
+# `width` wide holds max(1, this // width) rows.
 _BLOCK_ENTRIES = 1 << 16
 
 # Bytes per block when load_dataset scans a CSV, and the only bytes its
@@ -349,53 +346,58 @@ def _label_affinity(labels: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndar
     return np.where(labels[i] == labels[j], 1.0, -1.0)
 
 
+def _row_blocks(n: int, width: int):
+    """Yield slices covering range(n) in order, max(1, _BLOCK_ENTRIES // width) rows each.
+
+    Every blocked loop takes its blocks here, so a block of rows `width`
+    entries wide holds at most _BLOCK_ENTRIES entries, or one row when a row
+    is wider. The last block may be shorter.
+    """
+    step = max(1, _BLOCK_ENTRIES // width)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
 def _sq_distances(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of x and of a (n x q, d >= 1).
 
     Each entry sums (x[:, t] - a[:, t])**2 over t in dimension order, as
     cdist(x, a, "sqeuclidean") does, so the values are the same bit for bit.
-    The sum runs over row blocks, with one scratch buffer of at most
-    _BLOCK_ROWS x q, so the n x q result is the only large array.
+    Beside the n x q result it holds one scratch buffer of the same shape,
+    so callers bound its memory by the rows they pass.
 
     It serves the self-distances of _self_distance_blocks only. Their users
     compare distances with cutoffs, where the rounding of a matrix product,
     which also differs between d(x, y) and d(y, x), could flip a label;
     kernel_matrix, whose values no cutoff reads, uses the product.
     """
-    n, q = x.shape[0], a.shape[0]
     cols = np.ascontiguousarray(a.T)  # d x q: each dimension's values, contiguous
-    out = np.empty((n, q))
-    scratch = np.empty((min(n, _BLOCK_ROWS), q))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = x[start : start + _BLOCK_ROWS]
-        block = out[start : start + _BLOCK_ROWS]
-        buf = scratch[: rows.shape[0]]
-        np.subtract(rows[:, :1], cols[0], out=block)
-        np.square(block, out=block)
-        for t in range(1, x.shape[1]):
-            np.subtract(rows[:, t : t + 1], cols[t], out=buf)
-            np.square(buf, out=buf)
-            block += buf
+    out = np.subtract(x[:, :1], cols[0])
+    np.square(out, out=out)
+    buf = np.empty_like(out)
+    for t in range(1, x.shape[1]):
+        np.subtract(x[:, t : t + 1], cols[t], out=buf)
+        np.square(buf, out=buf)
+        out += buf
     return out
 
 
 def _self_distance_blocks(features: np.ndarray):
     """Yield (start, block): the Euclidean distances of rows start.. to every row.
 
-    A block holds max(1, _BLOCK_ENTRIES // n) rows (fewer in the last one),
-    with inf at each row's own column. Each is a fresh array that the caller
+    The blocks take their rows from _row_blocks(n, n), and hold inf at each
+    row's own column. Each is a fresh array that the caller
     may reorder in place. The values are cdist's bit for bit (_sq_distances),
     so this serves self-distances only: the bandwidth estimate and distance
     supervision.
     """
     n = features.shape[0]
-    step = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, step):
-        block = _sq_distances(features[start : start + step], features)
+    for rows in _row_blocks(n, n):
+        block = _sq_distances(features[rows], features)
         np.sqrt(block, out=block)
-        rows = np.arange(block.shape[0])
-        block[rows, rows + start] = np.inf
-        yield start, block
+        own = np.arange(block.shape[0])
+        block[own, own + rows.start] = np.inf
+        yield rows.start, block
 
 
 def _quantile_index(percentile: float, count: int) -> int:

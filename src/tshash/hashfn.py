@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import CodeMatrix
-from .data import _BLOCK_ENTRIES, Dataset, KernelConfig, derive_seed, kernel_matrix
-from .packed import PackedCodes, pack_signs
+from .data import Dataset, KernelConfig, _row_blocks, derive_seed, kernel_matrix
+from .packed import PackedCodes, pack_signs, words_per_code
 
 __all__ = [
     "HashModel",
@@ -247,24 +247,22 @@ def train_model(
 def encode(model: HashModel, points: np.ndarray) -> PackedCodes:
     """Hash a point matrix into packed codes (bit k set iff hash k is +1).
 
-    The points go through in row blocks, each of at most _BLOCK_ENTRIES
-    entries in the widest of its points (d), features (p) and scores (m):
-    a block's features, their product with the weights plus the biases,
-    and its signs, written into one n x m boolean array that is packed at
-    the end. So beside the points and the codes one block is held,
-    whatever n is.
+    The points go through in _row_blocks as wide as the widest of their
+    points (d), features (p) and scores (m): each block's features, their
+    product with the weights plus the biases, and its signs, packed straight
+    into its rows of the n x ceil(m/64) code words. So beside the points and
+    the words one block is held, whatever n is.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[1] != model.d:
         raise ValueError(f"dimension mismatch: points have d={points.shape[1]}, model d={model.d}")
-    step = max(1, _BLOCK_ENTRIES // max(model.d, *model.weights.shape))
-    signs = np.empty((points.shape[0], model.m), dtype=bool)
-    for start in range(0, points.shape[0], step):
-        feats = _feature_matrix(points[start : start + step], model.feature_mode, model.kernel_cfg)
+    words = np.empty((points.shape[0], words_per_code(model.m)), dtype=np.uint64)
+    for rows in _row_blocks(points.shape[0], max(model.d, *model.weights.shape)):
+        feats = _feature_matrix(points[rows], model.feature_mode, model.kernel_cfg)
         scores = feats @ model.weights
         scores += model.biases
-        np.greater_equal(scores, 0.0, out=signs[start : start + step])
-    return pack_signs(signs)
+        words[rows] = pack_signs(scores >= 0.0).words
+    return PackedCodes(words, model.m)
 
 
 def save_model(model: HashModel, path) -> None:

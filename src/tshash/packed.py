@@ -77,18 +77,18 @@ class PackedCodes:
 
 
 def pack_signs(signs: np.ndarray) -> PackedCodes:
-    """Pack an (n, m) matrix of {-1, +1} (or 0/1) values, one word group per row."""
+    """Pack an (n, m) matrix of {-1, +1} (or 0/1) values, one word group per row.
+
+    The signs go through one np.packbits into zero-padded bytes, which are
+    the little-endian words.
+    """
     signs = np.asarray(signs)
     if signs.ndim != 2 or signs.shape[1] < 1:
         raise CodesFormatError("need a 2-D sign matrix with at least one column")
     n, m = signs.shape
-    bits = (signs > 0).astype(np.uint8)
-    w = words_per_code(m)
-    padded = np.zeros((n, w * 64), dtype=np.uint8)
-    padded[:, :m] = bits
-    raw = np.packbits(padded, axis=1, bitorder="little")
-    words = raw.view("<u8").astype(np.uint64)
-    return PackedCodes(words, m)
+    raw = np.zeros((n, 8 * words_per_code(m)), dtype=np.uint8)
+    raw[:, : (m + 7) // 8] = np.packbits(signs > 0, axis=1, bitorder="little")
+    return PackedCodes(raw.view("<u8"), m)
 
 
 def write_codes_file(path, codes: PackedCodes) -> None:

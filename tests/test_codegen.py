@@ -427,7 +427,7 @@ class TestLearnCodes:
         i, j, _ = sup.arrays()
         cfg = TrainConfig(loss=LossKind("exph", 5), sweeps=2, seed=9)
         codes, trace = learn_codes(sup, cfg)
-        monkeypatch.setattr(codegen, "_BLOCK_ENTRIES", 3 * 5)  # 13 blocks of 3 pairs, then 1
+        monkeypatch.setattr("tshash.data._BLOCK_ENTRIES", 3 * 5)  # 13 blocks of 3 pairs, then 1
         s = codegen._pair_products(codes.bits, i, j)
         assert s.dtype == np.int64
         assert np.array_equal(s, (codes.bits[i].astype(np.int64) * codes.bits[j]).sum(axis=1))

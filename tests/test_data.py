@@ -18,9 +18,10 @@ from tshash.data import (
     supervision_from_distance,
     supervision_from_labels,
     _BANDWIDTH_NEIGHBORS,
-    _BLOCK_ROWS,
+    _BLOCK_ENTRIES,
     _load_fast,
     _parse_rows,
+    _row_blocks,
     _sample_partners,
     _self_distance_blocks,
     _sq_distances,
@@ -583,10 +584,10 @@ class TestKernelFeatures:
         assert all(tuple(row) in present for row in anchors)
 
 
-# Dimensions for the cdist equalities, and row counts that cover one query
-# row, a partial block and more than one block (not a multiple of it).
+# Dimensions for the cdist equalities, and row counts from one row to more
+# than one self-distance block (333 rows come in blocks of 196 and 137).
 DIST_DIMS = [1, 2, 8, 17, 64]
-DIST_ROWS = [1, 40, _BLOCK_ROWS + 77]
+DIST_ROWS = [1, 40, 333]
 # Kernel values lie in (0, 1]: 16 units of roundoff at 1.
 KERNEL_ATOL = 16 * np.finfo(np.float64).eps
 
@@ -626,14 +627,14 @@ class TestDistancesMatchCdist:
         # values: an unsorted k-slice sums in another order, which moves the
         # last bit of the mean on some of these cases.
         for seed in range(3):
-            for n in (11, 101, 102, _BLOCK_ROWS + 77):
+            for n in (11, 101, 102, 333):
                 ds = generate_clusters(n, 10, d, 0.3, seed=d + 1000 * seed + n)
                 want = oracle.cdist_bandwidth(ds.features, 1.3, min(_BANDWIDTH_NEIGHBORS, n - 1))
                 assert rbf_bandwidth(ds, 1.3) == want
 
     @pytest.mark.parametrize("d", DIST_DIMS)
     def test_distance_supervision(self, d):
-        ds = generate_clusters(_BLOCK_ROWS + 77, 10, d, 0.3, seed=200 + d)
+        ds = generate_clusters(333, 10, d, 0.3, seed=200 + d)
         for percentile in (5.0, 50.0):
             sup = supervision_from_distance(ds, percentile, 20, seed=d)
             i, j, y = sup.arrays()
@@ -644,6 +645,23 @@ def coincident_points(n, d=3, seed=0):
     """n points on 3 distinct sites: zero distances, and ties at every cutoff."""
     rng = np.random.default_rng(seed)
     return rng.normal(size=(3, d))[np.arange(n) % 3]
+
+
+@pytest.mark.parametrize("n, width", [(1, 1), (10, 1 << 13), (16, 1 << 13), (20, 1 << 13), (50_000, 150)])
+def test_row_blocks_tile_the_rows(n, width):
+    # Full blocks of _BLOCK_ENTRIES // width rows in order, then a ragged one
+    # (10 and 20 rows in blocks of 8; 50,000 in blocks of 436).
+    step = _BLOCK_ENTRIES // width
+    blocks = list(_row_blocks(n, width))
+    assert [k for rows in blocks for k in range(n)[rows]] == list(range(n))
+    assert [rows.stop - rows.start for rows in blocks[:-1]] == [step] * (len(blocks) - 1)
+    assert 1 <= blocks[-1].stop - blocks[-1].start <= step
+
+
+def test_row_blocks_edges():
+    # A row wider than the budget still goes one row a block; no rows, no blocks.
+    assert list(_row_blocks(3, _BLOCK_ENTRIES + 1)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert list(_row_blocks(0, 5)) == []
 
 
 class TestDistanceBlocks:

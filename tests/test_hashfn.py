@@ -251,15 +251,21 @@ class TestEncode:
 
     @pytest.mark.parametrize("mode", ["raw", "kernel"])
     def test_row_blocks_match_the_whole_product(self, monkeypatch, mode):
-        ds, _, model = small_model(seed=53, mode=mode)
+        ds, _, trained = small_model(seed=53, mode=mode)
+        # m=100 takes two code words. Its weights are random: few points clear a margin on 100 planes.
+        rng = np.random.default_rng(100)
+        weights, biases = rng.normal(size=(trained.weights.shape[0], 100)), rng.normal(size=100)
+        wide = HashModel(weights, biases, np.zeros(100, dtype=bool), mode, trained.d, trained.kernel_cfg)
         rows = 3
         points = ds.features[: rows * (ds.n // rows) - 1]  # the last block has 2 rows
-        monkeypatch.setattr(hashfn, "_BLOCK_ENTRIES", rows * max(model.d, *model.weights.shape))
-        feats = hashfn._feature_matrix(points, mode, model.kernel_cfg)
-        got = encode(model, points)
-        assert np.array_equal(got.words, pack_signs(feats @ model.weights + model.biases >= 0.0).words)
-        for edge in (rows - 1, rows, len(points) - 1):
-            assert np.array_equal(encode(model, points[edge : edge + 1]).words, got.words[edge : edge + 1])
+        for model in (trained, wide):
+            monkeypatch.setattr("tshash.data._BLOCK_ENTRIES", rows * max(model.d, *model.weights.shape))
+            scores = hashfn._feature_matrix(points, mode, model.kernel_cfg) @ model.weights + model.biases
+            got = encode(model, points)
+            assert np.array_equal(got.words, pack_signs(scores >= 0.0).words)
+            assert np.array_equal(got.signs(), np.where(scores >= 0.0, 1, -1))
+            for edge in (rows - 1, rows, len(points) - 1):
+                assert np.array_equal(encode(model, points[edge : edge + 1]).words, got.words[edge : edge + 1])
 
 
 class TestModelSerialization:

@@ -22,6 +22,8 @@ class TestPacking:
             packed = pack_signs(signs)
             assert packed.n == 9 and packed.m == m
             assert np.array_equal(packed.signs(), signs)
+            for bits in (signs > 0, (signs > 0).astype(np.uint8)):  # the 0/1 forms
+                assert np.array_equal(pack_signs(bits).words, packed.words)
 
     def test_bit_layout_little_endian_word_major(self):
         # bit k lives in word k >> 6 at position k & 63, set iff sign +1

@@ -11,7 +11,8 @@ object per cell, that top-k ranking over 50,000 codes equals the
 prefix of the full stable sort, and that the bandwidth estimate and
 distance supervision at n = 5000 build no n x n distance matrix, and
 that encoding 50,000 points and the starting inner products of 794,907
-supervised pairs work in blocks, not on whole N x q or P x m arrays.
+supervised pairs work in blocks, not on whole N x q, N x m or P x m
+arrays.
 """
 
 import tracemalloc
@@ -104,10 +105,11 @@ def test_self_distances_in_row_blocks(build):
     assert peak < 16 << 20
 
 
-def test_encode_in_row_blocks():
-    # Retrieve-shaped: 50,000 points in d=8, 150 anchors, m=64.
+@pytest.mark.parametrize("m", [64, 100])
+def test_encode_in_row_blocks(m):
+    # Retrieve-shaped: 50,000 points in d=8, 150 anchors, m=64; and m=100, two words a code.
     rng = np.random.default_rng(50_000)
-    n, d, q, m = 50_000, 8, 150, 64
+    n, d, q = 50_000, 8, 150
     points = rng.standard_normal((n, d))
     kcfg = KernelConfig(rng.standard_normal((q, d)), 2.0)
     weights, biases = rng.standard_normal((q, m)), rng.standard_normal(m)
@@ -119,9 +121,11 @@ def test_encode_in_row_blocks():
     finally:
         tracemalloc.stop()
     assert codes.n == n
-    # Measured peak: 10.8 MiB, mostly the n x m signs and pack_signs' copies
-    # of them. With all n x q features in one array it was 106.1 MiB.
-    assert peak < 16 << 20
+    # Measured peaks: 1.70 MiB at m=64 and 2.20 MiB at m=100, of which the
+    # code words are 0.38 and 0.76 MiB. With an n x m sign array and
+    # pack_signs' two copies of it they were 10.8 and 18.1 MiB; with all
+    # n x q features in one array, 106.1 MiB at m=64.
+    assert peak < 4 << 20
 
 
 def test_pair_products_in_blocks():
