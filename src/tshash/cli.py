@@ -5,11 +5,13 @@ encode (hash a CSV into packed codes), eval (retrieval metrics), query
 (interactive top-k lookup). Exit codes: 0 success, 2 usage errors,
 1 runtime errors. All randomness flows from the --seed flag, split per
 role with a counter-based splitter, so identical command lines produce
-byte-identical output files. tshash starts no thread of its own, and train
-and eval accept --threads and ignore it; numpy's BLAS may use several
-unless the usual BLAS environment variables limit it. Only train on the
-pair form of the bit problem loads scipy; label-form train with ksh or
-bre, and every other subcommand, run on numpy alone.
+byte-identical output files. eval --threads N ranks the queries on up to
+N threads (no more than the CPU count), with the same output at every N;
+train accepts --threads and ignores it. Apart from eval, tshash starts no
+thread of its own; numpy's BLAS may use several unless the usual BLAS
+environment variables limit it. Only train on the pair form of the bit
+problem loads scipy; label-form train with ksh or bre, and every other
+subcommand, run on numpy alone.
 """
 
 from __future__ import annotations
@@ -192,7 +194,9 @@ def cmd_eval(args) -> int:
         gt = retrieval.load_ground_truth(args.ground_truth)
     with _stage("eval"):
         db = retrieval.CodeDatabase(db_codes)
-        report = retrieval.evaluate(db, query_codes, gt, k=args.k, radius=args.radius)
+        report = retrieval.evaluate(
+            db, query_codes, gt, k=args.k, radius=args.radius, threads=args.threads
+        )
         retrieval.write_report_json(report, args.out_prefix + ".json")
         retrieval.write_report_csv(report, args.out_prefix + ".csv")
         retrieval.write_pr_csv(report, args.out_prefix + ".pr.csv")
@@ -268,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=retrieval.DEFAULT_K)
     p.add_argument("--radius", type=int, default=retrieval.DEFAULT_RADIUS)
     p.add_argument("--threads", type=int, default=1,
-                   help="ignored: tshash starts no thread, though numpy's BLAS may")
+                   help="rank queries on this many threads, capped at the CPU count; "
+                        "the output does not depend on it")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("query", help="print top-k database ids per query")

@@ -248,7 +248,9 @@ def generate_clusters(n: int, clusters: int, d: int, spread: float, seed: int) -
     labels = np.empty(n, dtype=np.int64)
     row = 0
     for c in range(clusters):
-        feats[row : row + counts[c]] = centers[c] + spread * rng.standard_normal((counts[c], d))
+        # A huge spread overflows to inf here; Dataset rejects the non-finite features.
+        with np.errstate(over="ignore"):
+            feats[row : row + counts[c]] = centers[c] + spread * rng.standard_normal((counts[c], d))
         labels[row : row + counts[c]] = c
         row += counts[c]
     return Dataset(feats, labels)

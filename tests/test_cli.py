@@ -79,6 +79,18 @@ class TestGenData:
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not list(tmp_path.iterdir())
 
+    def test_overflowing_spread_is_usage_error_without_warning(self, tmp_path):
+        # The features overflow to inf, which Dataset refuses; numpy's overflow
+        # warning must not reach stderr first. A child shows stderr as a user sees it.
+        src = str(Path(tshash.__file__).resolve().parents[1])
+        argv = ["gen-data", str(tmp_path / "x.csv"), "--n", "10", "--clusters", "2",
+                "--seed", "0", "--spread", "1e308"]
+        proc = subprocess.run([sys.executable, "-m", "tshash.cli", *argv], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "usage error: features contain non-finite values\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestTrain:
     def test_writes_model_and_monotone_trace(self, tmp_path):
@@ -357,8 +369,8 @@ class TestEval:
         assert abs(doc["precision_at_k"] - density) < 0.08
 
     def test_zero_threads_is_usage_error(self, tmp_path, capsys):
-        # train and eval run on one thread but still refuse --threads 0,
-        # before they read any input.
+        # eval ranks on --threads threads, and train ignores the flag; both
+        # refuse --threads 0 before they read any input.
         missing = str(tmp_path / "missing")
         assert run(["train", missing, "--model-out", missing, "--loss", "ksh",
                     "--bits", "4", "--seed", "0", "--threads", "0"]) == 2

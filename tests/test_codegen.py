@@ -476,6 +476,25 @@ class TestLearnCodes:
             (s, k) for s in range(3) for k in range(5)
         ]
 
+    # On affinities of +-1, bre's (d_h/m - y01)^2 is ksh's (s - m y)^2 over
+    # 4m^2, so a solver that is invariant to the loss's scale must give the
+    # same codes. At m = 8, 4m^2 = 256 is a power of two and every scaled
+    # float is exact, so the traces stand in that ratio exactly.
+    @pytest.mark.parametrize("form", ["labels", "pairs"])
+    def test_bre_is_ksh_over_4m_squared(self, form):
+        m = 8
+        if form == "labels":
+            sup = full_label_supervision(40, 3, seed=3)
+            assert sup.labels is not None
+        else:
+            sup = supervision_from_labels(generate_clusters(60, 3, 2, 0.3, seed=4), 5, seed=2)
+            assert sup.labels is None
+        ksh_codes, ksh_trace = learn_codes(sup, TrainConfig(loss=LossKind("ksh", m), sweeps=2, seed=1))
+        bre_codes, bre_trace = learn_codes(sup, TrainConfig(loss=LossKind("bre", m), sweeps=2, seed=1))
+        assert np.array_equal(bre_codes.bits, ksh_codes.bits)
+        assert [e.objective * 4 * m * m for e in bre_trace] == [e.objective for e in ksh_trace]
+        assert ksh_trace[-1].objective < ksh_trace[0].objective  # the codes moved
+
 
 def full_label_supervision(n, classes, seed):
     """All n(n-1)/2 pairs of a labelled set: one class, `classes` classes, or

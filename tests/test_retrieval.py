@@ -1,4 +1,10 @@
+import concurrent.futures
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +347,129 @@ class TestEvaluate:
                 maps_by_rate[rate].append(report.map)
         medians = [float(np.median(maps_by_rate[rate])) for rate in rates]
         assert all(b <= a + 1e-6 for a, b in zip(medians, medians[1:])), medians
+
+
+def assert_same_report(got, want):
+    """Every field equal with ==, the PR arrays element by element."""
+    for name in retrieval.EvalReport.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, name
+
+
+def instance_with_empty_sets(m, n_q, scored, seed=0):
+    """A random instance of n_q queries of which only the first `scored`
+    have nonempty relevant sets, shuffled among the empty ones."""
+    rng = np.random.default_rng(seed)
+    db_codes = packed_from_signs(rng.choice([-1, 1], size=(120, m)))
+    q_codes = packed_from_signs(rng.choice([-1, 1], size=(n_q, m)))
+    sets = [np.sort(rng.choice(120, size=int(rng.integers(1, 40)), replace=False)) for _ in range(scored)]
+    sets += [np.empty(0, dtype=np.int64)] * (n_q - scored)
+    order = rng.permutation(n_q)
+    return CodeDatabase(db_codes), q_codes, GroundTruth([sets[i] for i in order])
+
+
+class SyncPool:
+    """Stands in for ThreadPoolExecutor, as partial(SyncPool, sizes): records
+    max_workers in sizes and runs each task at once on the calling thread."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+# Prints whether evaluate at the given thread count imported concurrent.futures;
+# the child claims 2 CPUs, so 2 threads build a pool on any machine.
+POOL_IMPORT_PROBE = """
+import os, sys
+import numpy as np
+os.cpu_count = lambda: 2
+from tshash.packed import pack_signs
+from tshash.retrieval import CodeDatabase, GroundTruth, evaluate
+codes = pack_signs(np.array([[1, -1], [1, 1], [-1, -1]], dtype=np.int8))
+evaluate(CodeDatabase(codes), codes, GroundTruth([[0], [1], [2]]), k=1, threads=int(sys.argv[1]))
+print("concurrent.futures" in sys.modules)
+"""
+
+
+class TestEvaluateThreads:
+    # The scored queries outnumber every thread count in the first case and
+    # are fewer than 3 and 5 threads in the second. More threads than cores,
+    # switching every microsecond, would show a lost or misplaced row.
+    @pytest.mark.parametrize("n_q, scored", [(40, 29), (6, 2)])
+    @pytest.mark.parametrize("m", [8, 64, 100])
+    def test_report_independent_of_thread_count(self, m, n_q, scored, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so 3 and 5 threads are not capped at 2
+        db, q_codes, gt = instance_with_empty_sets(m, n_q, scored, seed=m + n_q)
+        want = evaluate(db, q_codes, gt, k=15, radius=3)
+        assert want.n_empty_relevant == n_q - scored
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (2, 3, 5):
+                assert_same_report(evaluate(db, q_codes, gt, k=15, radius=3, threads=threads), want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_zero_threads_rejected(self):
+        db, q_codes, gt = instance_with_empty_sets(8, 4, 3)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            evaluate(db, q_codes, gt, k=5, threads=0)
+
+    # The calling thread is one worker, so the pool holds one fewer: at most
+    # cpu_count - 1, and at most the scored queries less one.
+    @pytest.mark.parametrize("cpus, scored, pool_size", [(2, 29, 1), (64, 3, 2), (1, 29, None), (None, 29, None)])
+    def test_workers_capped(self, cpus, scored, pool_size, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", functools.partial(SyncPool, sizes))
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        db, q_codes, gt = instance_with_empty_sets(16, 40, scored, seed=3)
+        want = evaluate(db, q_codes, gt, k=10)
+        assert sizes == []
+        assert_same_report(evaluate(db, q_codes, gt, k=10, threads=10**6), want)
+        assert sizes == ([] if pool_size is None else [pool_size])
+
+    def test_one_thread_builds_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("threads=1 built a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        db, q_codes, gt = instance_with_empty_sets(8, 10, 7)
+        assert evaluate(db, q_codes, gt, k=5, threads=1).n_queries == 10
+
+    @pytest.mark.parametrize("threads, imported", [(1, "False"), (2, "True")])
+    def test_pool_module_loaded_only_for_threads(self, threads, imported):
+        src = str(Path(retrieval.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", POOL_IMPORT_PROBE, str(threads)],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == imported
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        db, q_codes, gt = instance_with_empty_sets(8, 10, 10)
+        stats = retrieval._query_stats
+
+        def fail_on_second(db, buf, qwords, relevant, k):
+            if relevant is gt.relevant[1]:  # part 1, ranked on the pool's thread
+                raise RuntimeError("query 1 failed")
+            return stats(db, buf, qwords, relevant, k)
+
+        monkeypatch.setattr(retrieval, "_query_stats", fail_on_second)
+        with pytest.raises(RuntimeError, match="query 1 failed"):
+            evaluate(db, q_codes, gt, k=5, threads=2)
 
 
 class TestGroundTruthIO:
