@@ -357,8 +357,8 @@ def assert_same_report(got, want):
 
 
 def instance_with_empty_sets(m, n_q, scored, seed=0):
-    """A random instance of n_q queries of which only the first `scored`
-    have nonempty relevant sets, shuffled among the empty ones."""
+    """A random instance of n_q queries, `scored` of which have nonempty
+    relevant sets, at random positions among the empty ones."""
     rng = np.random.default_rng(seed)
     db_codes = packed_from_signs(rng.choice([-1, 1], size=(120, m)))
     q_codes = packed_from_signs(rng.choice([-1, 1], size=(n_q, m)))
