@@ -13,7 +13,8 @@ problem comes in one of two forms, chosen by learn_codes from its input:
 - BqpInstance, for every other input. The pairs never change between
   updates, so the sparse structure of A is built once; per bit, each pair's
   coefficient is one lookup in a (y, sbar) table. Its minimum eigenpair
-  comes from Lanczos iteration (scipy's ARPACK).
+  comes from a thick-restart Lanczos iteration in numpy (_lanczos_min), on
+  products with scipy's CSR matrix; scipy.sparse.linalg is never loaded.
 
 Both forms expose A.z (matvec) and the minimum eigenpair (min_eigenpair),
 which is all that spectral_relax and box_relax ask of them.
@@ -54,6 +55,14 @@ _BOX_TOL = 1e-6
 
 # Largest accepted ||Av - lambda v|| / gershgorin_bound() of an eigenpair.
 _RESIDUAL_TOL = 1e-6
+
+# Thick-restart Lanczos of the pair form: the most basis vectors held, the
+# Ritz vectors kept at a restart, the converged ||Ax - theta x|| /
+# gershgorin_bound(), and the cap on matrix-vector products, per row of A.
+_LANCZOS_BASIS = 20
+_LANCZOS_KEEP = 10
+_LANCZOS_TOL = 1e-12
+_LANCZOS_MATVECS_PER_ROW = 10
 
 # Losses whose bit problem has the LowRankBqp form under full label supervision.
 _LOW_RANK_LOSSES = ("ksh", "bre")
@@ -111,10 +120,21 @@ class BqpInstance:
             raise ValueError("pairs must be distinct, unordered and off the diagonal")
         self._slot_pair = self.matrix.data.astype(np.intp) - 1
         self.matrix.data[:] = 0.0
+        self._rows = np.flatnonzero(np.diff(self.matrix.indptr))  # the non-empty rows
+        self._row_sums = np.zeros(n)  # each row's sum of |A[i, j]|
 
     def set_coefficients(self, a: np.ndarray) -> None:
-        """Set A[i, j] = A[j, i] = a[p] for every pair p."""
-        np.take(np.asarray(a, dtype=np.float64), self._slot_pair, out=self.matrix.data)
+        """Set A[i, j] = A[j, i] = a[p] for every pair p.
+
+        Also sums |a| over each row's stored slots, in the order that scipy's
+        abs(matrix).sum(axis=1) takes, for gershgorin_bound and the rows
+        that min_eigenpair zeroes.
+        """
+        data = self.matrix.data
+        np.take(np.asarray(a, dtype=np.float64), self._slot_pair, out=data)
+        if data.size:
+            starts = self.matrix.indptr[self._rows]
+            self._row_sums[self._rows] = np.add.reduceat(np.abs(data), starts)
 
     @property
     def n(self) -> int:
@@ -130,24 +150,67 @@ class BqpInstance:
         return float(z @ self.matvec(z))
 
     def min_eigenpair(self, v0: np.ndarray) -> tuple[float, np.ndarray] | None:
-        """Minimum eigenvalue and unit eigenvector by Lanczos (ARPACK) from v0.
+        """Minimum eigenvalue and unit eigenvector by thick-restart Lanczos from v0.
 
-        None if ARPACK does not converge.
+        None if _lanczos_min reaches its cap on matrix-vector products. For
+        a nonzero eigenvalue the eigenvector is exactly 0 on a zero row of A
+        (a point in no pair, say), so those entries are set to 0 rather than
+        left at rounding level.
         """
-        # Imported here so that commands which never train do not load ARPACK.
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-        try:
-            vals, vecs = eigsh(self.matrix, k=1, which="SA", v0=v0)
-        except ArpackNoConvergence:
-            return None
-        return float(vals[0]), vecs[:, 0]
+        pair = _lanczos_min(self.matvec, v0, self.gershgorin_bound())
+        if pair is not None and pair[0] != 0.0:
+            pair[1][self._row_sums == 0.0] = 0.0
+        return pair
 
     def gershgorin_bound(self) -> float:
-        """Upper bound on the spectral radius (max absolute row sum)."""
-        if self.matrix.nnz == 0:
-            return 0.0
-        return float(abs(self.matrix).sum(axis=1).max())
+        """Upper bound on the spectral radius (max absolute row sum).
+
+        The row sums come from set_coefficients, so this copies nothing.
+        """
+        return float(self._row_sums.max(initial=0.0))
+
+
+def _lanczos_min(matvec, v0: np.ndarray, bound: float) -> tuple[float, np.ndarray] | None:
+    """Minimum eigenpair of a symmetric A by thick-restart Lanczos (Wu and Simon).
+
+    The rows of v are an orthonormal basis of a Krylov space from v0, each
+    new vector orthogonalised by classical Gram-Schmidt run twice, and the
+    rows of av hold A times them. The Ritz pair (theta, x) of the smallest
+    eigenvalue of v av^T is returned once ||Ax - theta x||, from the stored
+    products, is at most _LANCZOS_TOL * bound (bound >= A's spectral
+    radius), or at once when the basis spans an invariant subspace, where
+    it is exact. When the basis is full, the _LANCZOS_KEEP lowest Ritz
+    vectors and their products are kept and the next Lanczos direction
+    extends them, with no extra product. None once the products reach
+    _LANCZOS_MATVECS_PER_ROW times A's order without convergence.
+    """
+    n = v0.size
+    size = min(_LANCZOS_BASIS, n)
+    keep = min(_LANCZOS_KEEP, size - 1)
+    tol = _LANCZOS_TOL * bound
+    v, av = np.empty((size, n)), np.empty((size, n))
+    v[0] = v0 / np.linalg.norm(v0)
+    av[0] = matvec(v[0])
+    k, products = 1, 1
+    while True:
+        w = av[k - 1].copy()
+        for _ in range(2):
+            w -= (v[:k] @ w) @ v[:k]
+        beta = np.linalg.norm(w)
+        invariant = beta <= tol
+        if k == size or invariant:
+            h = v[:k] @ av[:k].T
+            theta, y = np.linalg.eigh((h + h.T) / 2.0)
+            x, ax = y[:, 0] @ v[:k], y[:, 0] @ av[:k]
+            if invariant or np.linalg.norm(ax - theta[0] * x) <= tol:
+                return float(theta[0]), x
+            if products >= _LANCZOS_MATVECS_PER_ROW * n:
+                return None
+            v[:keep], av[:keep] = y[:, :keep].T @ v[:k], y[:, :keep].T @ av[:k]
+            k = keep
+        v[k] = w / beta
+        av[k] = matvec(v[k])
+        k, products = k + 1, products + 1
 
 
 class LowRankBqp:
@@ -325,15 +388,16 @@ def spectral_relax(bqp: BqpInstance | LowRankBqp, *, seed: int = 0) -> np.ndarra
     """Minimizer of z.T A z over the sphere ||z||^2 = n.
 
     The solution is the minimum-eigenvalue eigenvector of A, from
-    bqp.min_eigenpair: Lanczos iteration from a start vector drawn from
-    seed for BqpInstance, an exact solve in span[R | C] for LowRankBqp. It
-    is signed so that its largest-magnitude entry is positive and scaled to
-    squared norm n. If Lanczos does not converge, a RuntimeWarning saying
-    so is emitted (tracing counts these) and the seeded start vector of the
-    right norm is returned instead; the caller's rounding guard makes this
-    safe. An eigenpair whose residual ||Av - lambda v|| exceeds
-    _RESIDUAL_TOL times the Gershgorin bound emits a
-    SpectralResidualWarning; its vector is still returned.
+    bqp.min_eigenpair: thick-restart Lanczos iteration from a start vector
+    drawn from seed for BqpInstance, an exact solve in span[R | C] for
+    LowRankBqp. It is signed so that its largest-magnitude entry is positive
+    and scaled to squared norm n. If Lanczos does not converge within its
+    cap on matrix-vector products, a RuntimeWarning saying so is emitted
+    (tracing counts these) and the seeded start vector of the right norm is
+    returned instead; the caller's rounding guard makes this safe. An
+    eigenpair whose residual ||Av - lambda v|| exceeds _RESIDUAL_TOL times
+    the Gershgorin bound emits a SpectralResidualWarning; its vector is
+    still returned.
     """
     n = bqp.n
     radius = bqp.gershgorin_bound()
