@@ -10,8 +10,10 @@ N threads (no more than the CPU count), with the same output at every N;
 train accepts --threads and ignores it. Apart from eval, tshash starts no
 thread of its own; numpy's BLAS may use several unless the usual BLAS
 environment variables limit it. Only train on the pair form of the bit
-problem loads scipy; label-form train with ksh or bre, and every other
-subcommand, run on numpy alone.
+problem loads scipy, and of it only scipy.sparse, for the CSR matrix and
+its products (the Lanczos solver is numpy, so ARPACK and scipy.linalg stay
+unloaded); label-form train with ksh or bre, and every other subcommand,
+run on numpy alone.
 """
 
 from __future__ import annotations

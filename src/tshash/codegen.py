@@ -228,8 +228,7 @@ class LowRankBqp:
     at most m - 1 + c, and its trace is -2sn < 0, so A's minimum eigenpair
     lies in that span. min_eigenpair solves it there exactly: A's matrix in
     an orthonormal basis of the span is (m - 1 + c)^2, one dense eigh.
-    With about one class per point that is a dense n x n eigh, on the
-    inputs where Lanczos fails for the eigenvalue's large multiplicity.
+    With about one class per point that is a dense n x n eigh.
     """
 
     def __init__(self, labels: np.ndarray, kind: LossKind):

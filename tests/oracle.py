@@ -3,7 +3,8 @@
 Everything here is deliberately slow and literal: per-bit loops, full
 enumeration, float arithmetic, Python-level sorting. Nothing imports the
 implementation's fast paths beyond the shared loss formulas. Distances
-come from scipy's cdist, which the package itself does not use. The
+come from scipy's cdist, and reference eigenvalues of sparse bit problems
+from ARPACK (scipy's eigsh); the package itself uses neither. The
 reference_* retrieval routines are the exception: they keep the package's
 former vectorized code, so that its faster replacement can be held to ==.
 """
@@ -14,6 +15,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import cdist
 
 
@@ -164,6 +166,11 @@ def brute_force_bqp(a_dense: np.ndarray) -> tuple[float, np.ndarray]:
         if val < best_val:
             best_val, best_z = val, np.array(combo, dtype=np.int8)
     return best_val, best_z
+
+
+def arpack_min_eigenvalue(matrix, v0: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric sparse matrix by ARPACK's Lanczos."""
+    return float(eigsh(matrix, k=1, which="SA", v0=v0)[0][0])
 
 
 # ------------------------------------------------------------ retrieval

@@ -201,6 +201,11 @@ print(json.dumps(codes))
 """
 
 
+# As SCIPY_BLOCKED_CLI, with only scipy.sparse.linalg (ARPACK and
+# scipy.linalg behind it) made to fail.
+SPARSE_LINALG_BLOCKED_CLI = SCIPY_BLOCKED_CLI.replace('"scipy"', '"scipy.sparse.linalg"')
+
+
 class TestImports:
     @pytest.mark.parametrize("module", ["tshash", "tshash.cli"])
     def test_import_loads_no_scipy(self, module):
@@ -235,6 +240,23 @@ class TestImports:
         argv = ["train", str(data), "--model-out", str(blocked), "--loss", loss,
                 "--bits", "8", "--seed", "5", "--anchors", "40"]
         assert json.loads(child(SCIPY_BLOCKED_CLI, json.dumps([(argv, os.devnull)]))) == [0]
+        assert blocked.read_bytes() == model.read_bytes()
+        trace = Path(str(model) + ".trace.csv").read_bytes()
+        assert Path(str(blocked) + ".trace.csv").read_bytes() == trace
+
+
+    def test_pair_form_train_runs_without_sparse_linalg(self, tmp_path):
+        # The pair form's Lanczos runs in numpy on scipy.sparse products.
+        probe = "import sys, scipy.sparse; print('scipy.sparse.linalg' in sys.modules)"
+        if child(probe).strip() != "False":
+            pytest.skip("this scipy loads scipy.sparse.linalg with scipy.sparse")
+        data = gen(tmp_path, n=120)
+        extra = ("--supervision", "distance", "--pairs-per-point", "10")
+        model = train(tmp_path, data, extra=extra, loss="exph")
+        blocked = tmp_path / "blocked.json"
+        argv = ["train", str(data), "--model-out", str(blocked), "--loss", "exph",
+                "--bits", "8", "--seed", "5", "--anchors", "40", *extra]
+        assert json.loads(child(SPARSE_LINALG_BLOCKED_CLI, json.dumps([(argv, os.devnull)]))) == [0]
         assert blocked.read_bytes() == model.read_bytes()
         trace = Path(str(model) + ".trace.csv").read_bytes()
         assert Path(str(blocked) + ".trace.csv").read_bytes() == trace

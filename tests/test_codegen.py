@@ -3,8 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from tshash import codegen
 from tshash.codegen import (
@@ -136,6 +134,20 @@ class TestBqpInstance:
             radius = np.abs(np.linalg.eigvalsh(bqp.matrix.toarray())).max()
             assert bqp.gershgorin_bound() >= radius - 1e-12
 
+    @pytest.mark.parametrize("n, pairs", [(1, 0), (5, 0), (2, 1), (30, 20), (50, 400), (200, 3000)])
+    def test_gershgorin_equals_scipy_row_sums(self, n, pairs):
+        # Row sums cached by set_coefficients, bit for bit those of scipy's
+        # abs(matrix).sum(axis=1), with rows of points in no pair among them.
+        rng = np.random.default_rng(n * pairs + 3)
+        i, j = np.triu_indices(n, 1)
+        keep = rng.choice(i.size, size=pairs, replace=False)
+        bqp = BqpInstance(n, i[keep], j[keep])
+        assert bqp.gershgorin_bound() == 0.0
+        for scale in (1.0, 1e-3, 1e5):
+            bqp.set_coefficients(rng.normal(scale=scale, size=pairs))
+            want = float(abs(bqp.matrix).sum(axis=1).max()) if pairs else 0.0
+            assert bqp.gershgorin_bound() == want
+
 
 class TestAssemble:
     def test_empty_supervision_gives_zero_matrix(self):
@@ -255,12 +267,16 @@ class TestSpectralRelax:
         assert bqp.quad(v) / n == pytest.approx(want, rel=1e-8)
 
     def test_nonconvergence_warns_and_falls_back(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((30, 0)))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        # A cap of 15 products stops Lanczos before a 30 x 30 random matrix
+        # converges: the cap is checked each time the basis of 20 fills.
+        monkeypatch.setattr(codegen, "_LANCZOS_MATVECS_PER_ROW", 0.5)
         rng = np.random.default_rng(9)
         bqp = random_bqp(rng, 30)
+        calls = []
+        matvec = bqp.matvec
+        monkeypatch.setattr(bqp, "matvec", lambda z: calls.append(z) or matvec(z))
+        assert bqp.min_eigenpair(rng.normal(size=30)) is None
+        assert len(calls) == 20
         with pytest.warns(RuntimeWarning, match="did not converge"):
             v = spectral_relax(bqp, seed=0)
         assert np.sum(v**2) == pytest.approx(30.0, rel=1e-12)
@@ -273,10 +289,7 @@ class TestSpectralRelax:
         wrong = rng.normal(size=30)
         wrong /= np.linalg.norm(wrong)
 
-        def wrong_pair(*args, **kwargs):
-            return np.array([-1.0]), wrong[:, None]
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", wrong_pair)
+        monkeypatch.setattr(bqp, "min_eigenpair", lambda v0: (-1.0, wrong))
         with pytest.warns(SpectralResidualWarning, match="relative residual"):
             v = spectral_relax(bqp, seed=0)
         sign = 1.0 if wrong[np.argmax(np.abs(wrong))] > 0 else -1.0
@@ -290,6 +303,104 @@ class TestSpectralRelax:
             bqp = random_bqp(rng, n) if n > 1 else dense_bqp(np.zeros((1, 1)))
             v = spectral_relax(bqp)
             assert np.sum(v**2) == pytest.approx(float(n), rel=1e-12)
+
+
+def components(rng, sizes, edges):
+    """Pairs and coefficients of random blocks of the given sizes, laid out
+    one after another, with at most `edges` pairs in each and none between."""
+    i, j, a, start = [], [], [], 0
+    for size in sizes:
+        ii, jj = np.triu_indices(size, 1)
+        keep = rng.choice(ii.size, size=min(edges, ii.size), replace=False)
+        i.append(ii[keep] + start)
+        j.append(jj[keep] + start)
+        a.append(rng.normal(size=keep.size))
+        start += size
+    return np.concatenate(i), np.concatenate(j), np.concatenate(a)
+
+
+class TestLanczos:
+    """BqpInstance.min_eigenpair against dense eigvalsh, on every shape the
+    Krylov basis meets: smaller than the basis, larger than it (restarts),
+    disconnected, with zero rows and with a repeated minimum."""
+
+    def check(self, bqp, seed=0):
+        v0 = np.random.default_rng(seed).standard_normal(bqp.n)
+        val, v = bqp.min_eigenpair(v0)
+        dense = bqp.matrix.toarray()
+        bound = bqp.gershgorin_bound()
+        assert val == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12 * bound)
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(dense @ v - val * v) <= 1e-11 * bound
+        return val, v
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 19, 20, 21, 60, 250])
+    def test_matches_dense_below_and_above_basis(self, n):
+        rng = np.random.default_rng(n)
+        if n == 1:
+            bqp = BqpInstance(1, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+            assert self.check(bqp) == (0.0, pytest.approx(np.array([1.0])))
+            return
+        bqp, a = random_pair_bqp(rng, n)
+        bqp.set_coefficients(a)
+        self.check(bqp, seed=n)
+
+    def test_sparse_instances_restart(self):
+        rng = np.random.default_rng(4)
+        sup = random_supervision(rng, 300, 1500)
+        codes = CodeMatrix(rng.choice([-1, 1], size=(300, 8)))
+        bqp = BqpInstance(300, *sup.arrays()[:2])
+        for tag in ("ksh", "exph", "ee"):
+            bqp.set_coefficients(bit_coefficients(sup, codes, 2, LossKind(tag, 8)))
+            self.check(bqp, seed=1)
+
+    def test_disconnected_components(self):
+        rng = np.random.default_rng(5)
+        i, j, a = components(rng, [40, 3, 25, 2], 120)
+        bqp = BqpInstance(70, i, j)
+        bqp.set_coefficients(a)
+        self.check(bqp)
+
+    def test_points_in_no_pair_are_exact_zeros(self):
+        rng = np.random.default_rng(6)
+        i, j, a = components(rng, [30, 45], 200)
+        n = 90  # points 75-89 are in no pair
+        bqp = BqpInstance(n, i, j)
+        bqp.set_coefficients(a)
+        val, v = self.check(bqp)
+        assert val < 0.0 and np.all(v[75:] == 0.0)
+        # A stored pair whose coefficient is 0 leaves a zero row too.
+        bqp = BqpInstance(4, np.array([0, 2]), np.array([1, 3]))
+        bqp.set_coefficients(np.array([-1.0, 0.0]))
+        _, v = self.check(bqp)
+        assert v[2] == 0.0 and v[3] == 0.0
+
+    def test_repeated_minimum_eigenvalue(self):
+        # Two copies of one block: every eigenvalue has multiplicity two.
+        rng = np.random.default_rng(7)
+        i, j, a = components(rng, [35], 150)
+        bqp = BqpInstance(70, np.concatenate([i, i + 35]), np.concatenate([j, j + 35]))
+        bqp.set_coefficients(np.concatenate([a, a]))
+        vals = np.linalg.eigvalsh(bqp.matrix.toarray())
+        assert vals[1] - vals[0] < 1e-12 * bqp.gershgorin_bound()
+        self.check(bqp)
+
+    def test_exactly_invariant_to_power_of_two_scale(self):
+        # Every step is homogeneous in A, so scaling A by 2^e scales the
+        # eigenvalue by 2^e and leaves the vector's bits alone.
+        rng = np.random.default_rng(8)
+        sup = random_supervision(rng, 200, 900)
+        codes = CodeMatrix(rng.choice([-1, 1], size=(200, 8)))
+        a = bit_coefficients(sup, codes, 5, LossKind("exph", 8))
+        v0 = rng.standard_normal(200)
+        bqp = BqpInstance(200, *sup.arrays()[:2])
+        bqp.set_coefficients(a)
+        val, v = bqp.min_eigenpair(v0)
+        for e in (-8, 3, 10):
+            bqp.set_coefficients(a * 2.0**e)
+            val_e, v_e = bqp.min_eigenpair(v0)
+            assert val_e == val * 2.0**e
+            assert np.array_equal(v_e, v)
 
 
 class TestBoxRelax:

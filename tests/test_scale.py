@@ -12,7 +12,9 @@ prefix of the full stable sort, and that the bandwidth estimate and
 distance supervision at n = 5000 build no n x n distance matrix, and
 that encoding 50,000 points and the starting inner products of 794,907
 supervised pairs work in blocks, not on whole N x q, N x m or P x m
-arrays.
+arrays. On the pair path at n = 5000 with sampled distance pairs, the
+trace is exact and never increases, a rerun is byte-identical, and the
+Lanczos eigenvalue agrees with ARPACK's.
 """
 
 import tracemalloc
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from tshash.codegen import (
+    BqpInstance,
     LowRankBqp,
     SpectralResidualWarning,
     TrainConfig,
@@ -42,6 +45,8 @@ from tshash.hashfn import HashModel, encode
 from tshash.loss import LossKind, quadratic_coeffs
 from tshash.packed import pack_signs
 from tshash.retrieval import CodeDatabase, hamming_distances, load_ground_truth, rank
+
+import oracle
 
 pytestmark = pytest.mark.slow
 
@@ -190,6 +195,50 @@ def test_trace_exact_and_runs_identical(sup, tag):
 
     again, _ = learn_codes(sup, cfg)
     assert codes.bits.tobytes() == again.bits.tobytes()
+
+
+PAIR_N = 5000
+
+
+@pytest.fixture(scope="module")
+def distance_sup():
+    # 20 sampled partners a point: 99,799 pairs.
+    ds = generate_clusters(PAIR_N, CLASSES, 3, 0.3, seed=PAIR_N)
+    return supervision_from_distance(ds, 5.0, 20, seed=1)
+
+
+def test_pair_path_trace_exact_and_runs_identical(distance_sup):
+    kind = LossKind("exph", M)
+    cfg = TrainConfig(loss=kind, sweeps=1, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", SpectralResidualWarning)
+        codes, trace = learn_codes(distance_sup, cfg)
+    objs = [e.objective for e in trace]
+    assert all(b <= a for a, b in zip(objs, objs[1:]))
+    assert objs[-1] < objs[0]
+    assert objs[-1] == pytest.approx(pairwise_objective(distance_sup, codes, kind), rel=1e-12)
+
+    again, trace_again = learn_codes(distance_sup, cfg)
+    assert codes.bits.tobytes() == again.bits.tobytes()
+    assert [e.objective for e in trace_again] == objs
+
+
+def test_pair_path_lanczos_matches_arpack(distance_sup):
+    kind = LossKind("exph", M)
+    i, j, y = distance_sup.arrays()
+    rng = np.random.default_rng(5)
+    bits = rng.choice([-1, 1], size=(PAIR_N, M)).astype(np.int8)
+    s = _pair_products(bits, i, j)
+    bqp = BqpInstance(PAIR_N, i, j)
+    for k in (0, 3, 7):
+        sbar = s - bits[i, k].astype(np.int64) * bits[j, k]
+        bqp.set_coefficients(quadratic_coeffs(kind, sbar, y)[0])
+        v0 = np.random.default_rng(k).standard_normal(PAIR_N)
+        val, v = bqp.min_eigenpair(v0)
+        bound = bqp.gershgorin_bound()
+        assert abs(val - oracle.arpack_min_eigenvalue(bqp.matrix, v0)) <= 1e-10 * bound
+        assert np.linalg.norm(bqp.matvec(v) - val * v) <= 1e-11 * bound
 
 
 def test_top_k_at_fifty_thousand_points():
