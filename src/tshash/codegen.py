@@ -8,16 +8,16 @@ problem comes in one of two forms, chosen by learn_codes from its input:
 - LowRankBqp, for label-form supervision and the ksh or bre loss. A is
   then 2(RR^T - mY) + 2I (ksh; bre divides by 4m^2), where R is the codes
   without bit k and Y = 2CC^T - 11^T comes from the one-hot labels C, so
-  A.z costs O(n(m + c)), no pair is stored, and the minimum eigenpair is
-  solved exactly in span[R | C] with numpy alone.
+  A.z costs O(n(m + c)), no pair is stored, and numpy alone is needed.
 - BqpInstance, for every other input. The pairs never change between
   updates, so the sparse structure of A is built once; per bit, each pair's
-  coefficient is one lookup in a (y, sbar) table. Its minimum eigenpair
-  comes from a thick-restart Lanczos iteration in numpy (_lanczos_min), on
-  products with scipy's CSR matrix; scipy.sparse.linalg is never loaded.
+  coefficient is one lookup in a (y, sbar) table, and A.z is a product with
+  scipy's CSR matrix; scipy.sparse.linalg is never loaded.
 
 Both forms expose A.z (matvec) and the minimum eigenpair (min_eigenpair),
-which is all that spectral_relax and box_relax ask of them.
+which is all that spectral_relax and box_relax ask of them. Both take the
+eigenpair from one thick-restart Lanczos iteration in numpy (_lanczos_min)
+on their own A.z.
 
 update_bit takes either form, relaxes it twice (sphere, then box),
 sign-rounds the relaxed solutions and keeps the best of {rounded
@@ -56,7 +56,7 @@ _BOX_TOL = 1e-6
 # Largest accepted ||Av - lambda v|| / gershgorin_bound() of an eigenpair.
 _RESIDUAL_TOL = 1e-6
 
-# Thick-restart Lanczos of the pair form: the most basis vectors held, the
+# Thick-restart Lanczos of both forms: the most basis vectors held, the
 # Ritz vectors kept at a restart, the converged ||Ax - theta x|| /
 # gershgorin_bound(), and the cap on matrix-vector products, per row of A.
 _LANCZOS_BASIS = 20
@@ -223,12 +223,6 @@ class LowRankBqp:
     2(m - 1 - m). bre's matrix is the same divided by 4m^2. A is never
     formed: matvec computes A.z from R and per-class sums of z, in
     O(n(m + c)). set_rest fixes R for the next bit.
-
-    A - 2sI (s the loss scale) has its range in span[R | C], of dimension
-    at most m - 1 + c, and its trace is -2sn < 0, so A's minimum eigenpair
-    lies in that span. min_eigenpair solves it there exactly: A's matrix in
-    an orthonormal basis of the span is (m - 1 + c)^2, one dense eigh.
-    With about one class per point that is a dense n x n eigh.
     """
 
     def __init__(self, labels: np.ndarray, kind: LossKind):
@@ -239,12 +233,10 @@ class LowRankBqp:
         # Points ordered by class, and where each class starts, for class sums.
         self._order = np.argsort(self._classes, kind="stable")
         self._starts = np.searchsorted(self._classes[self._order], np.arange(classes.size))
-        self._sizes = np.diff(self._starts, append=n).astype(np.float64)
         self._m = kind.m
         # The bre loss of a +-1-labelled pair is (s - m y)^2 / (4 m^2).
         self._scale = 1.0 if kind.tag == "ksh" else 1.0 / (4.0 * kind.m**2)
         self._rest = np.zeros((n, kind.m - 1))
-        self._rest_sums = np.zeros((classes.size, kind.m - 1), dtype=np.int64)
         self._radius = 0.0
 
     @property
@@ -269,7 +261,6 @@ class LowRankBqp:
         rows = (self.n - 1) * self._m - ysbar
         self._radius = 2.0 * self._scale * float(rows.max())
         np.copyto(self._rest, rest)
-        self._rest_sums = sums
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         """A.z for a vector z, in O(n(m + c))."""
@@ -281,34 +272,12 @@ class LowRankBqp:
         out *= 2.0 * self._scale
         return out
 
-    def min_eigenpair(self, v0: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """Minimum eigenvalue and unit eigenvector of A, exact up to rounding.
+    def min_eigenpair(self, v0: np.ndarray) -> tuple[float, np.ndarray] | None:
+        """Minimum eigenvalue and unit eigenvector by thick-restart Lanczos from v0.
 
-        v0 is ignored: nothing iterates. The basis of span[R | C] is E, the
-        class indicators over the square roots of their sizes (never formed),
-        then Q from a thin QR of the class-centred R = QT. With P = E^T R and
-        D the class sizes, A - 2sI = 2s [E Q] S [E Q]^T for
-            S = [[PP^T - 2mD + m d d^T, PT^T], [TP^T, TT^T]],  d = sqrt(diag D).
-        Q need not be orthogonal to E where the centred R is rank deficient,
-        but an eigenvector of S for a nonzero eigenvalue weights Q only
-        through T's range, which is orthogonal to E, so v = E y_E + Q y_Q
-        is A's eigenvector all the same.
+        None if _lanczos_min reaches its cap on matrix-vector products.
         """
-        m, c = self._m, self._sizes.size
-        root = np.sqrt(self._sizes)
-        means = self._rest_sums / self._sizes[:, None]
-        q, t = np.linalg.qr(self._rest - means[self._classes])
-        p = self._rest_sums / root[:, None]
-        k = c + t.shape[0]
-        s = np.empty((k, k))
-        s[:c, :c] = p @ p.T + m * np.outer(root, root)
-        s[:c, :c].flat[:: c + 1] -= 2.0 * m * self._sizes
-        s[:c, c:] = p @ t.T
-        s[c:, :c] = s[:c, c:].T
-        s[c:, c:] = t @ t.T
-        mu, y = np.linalg.eigh(s)
-        v = (y[:c, 0] / root)[self._classes] + q @ y[c:, 0]
-        return 2.0 * self._scale * (1.0 + float(mu[0])), v
+        return _lanczos_min(self.matvec, v0, self._radius)
 
     def quad(self, z: np.ndarray) -> float:
         """Quadratic objective z.T A z."""
@@ -387,16 +356,15 @@ def spectral_relax(bqp: BqpInstance | LowRankBqp, *, seed: int = 0) -> np.ndarra
     """Minimizer of z.T A z over the sphere ||z||^2 = n.
 
     The solution is the minimum-eigenvalue eigenvector of A, from
-    bqp.min_eigenpair: thick-restart Lanczos iteration from a start vector
-    drawn from seed for BqpInstance, an exact solve in span[R | C] for
-    LowRankBqp. It is signed so that its largest-magnitude entry is positive
-    and scaled to squared norm n. If Lanczos does not converge within its
-    cap on matrix-vector products, a RuntimeWarning saying so is emitted
-    (tracing counts these) and the seeded start vector of the right norm is
-    returned instead; the caller's rounding guard makes this safe. An
-    eigenpair whose residual ||Av - lambda v|| exceeds _RESIDUAL_TOL times
-    the Gershgorin bound emits a SpectralResidualWarning; its vector is
-    still returned.
+    bqp.min_eigenpair: thick-restart Lanczos iteration, for either form,
+    from a start vector drawn from seed. It is signed so that its
+    largest-magnitude entry is positive and scaled to squared norm n. If
+    Lanczos does not converge within its cap on matrix-vector products, a
+    RuntimeWarning saying so is emitted (tracing counts these) and the
+    seeded start vector of the right norm is returned instead; the caller's
+    rounding guard makes this safe. An eigenpair whose residual
+    ||Av - lambda v|| exceeds _RESIDUAL_TOL times the Gershgorin bound emits
+    a SpectralResidualWarning; its vector is still returned.
     """
     n = bqp.n
     radius = bqp.gershgorin_bound()
@@ -442,25 +410,29 @@ def box_relax(bqp: BqpInstance | LowRankBqp, init: np.ndarray) -> np.ndarray:
     if lipschitz == 0.0:
         return z
 
-    f = bqp.quad(z)
+    # A.z of the accepted point gives both f and the next gradient, so each
+    # point costs one product.
+    az = bqp.matvec(z)
+    f = float(z @ az)
     step = 1.0 / lipschitz
     max_step = 1e6 / lipschitz
     for _ in range(_BOX_MAX_ITERS):
-        grad = 2.0 * bqp.matvec(z)
+        grad = 2.0 * az
         if np.max(np.abs(np.clip(z - grad, -1.0, 1.0) - z)) <= _BOX_TOL:
             break
         moved = False
         for _ in range(80):
             z_new = np.clip(z - step * grad, -1.0, 1.0)
             decrease = float(grad @ (z_new - z))
-            f_new = bqp.quad(z_new)
+            az_new = bqp.matvec(z_new)
+            f_new = float(z_new @ az_new)
             if decrease < 0.0 and f_new <= f + 0.1 * decrease:
                 moved = True
                 break
             step *= 0.5
         if not moved:
             break  # no further float-representable descent
-        z, f = z_new, f_new
+        z, az, f = z_new, az_new, f_new
         step = min(step * 2.0, max_step)
     return z
 
