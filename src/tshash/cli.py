@@ -218,7 +218,7 @@ def cmd_query(args) -> int:
         out.write("query,rank,id,distance\n")
         for qi in range(query_codes.n):
             order, dists = retrieval._ranked_order(db, query_codes.words[qi], args.k)
-            for pos, (row, dist) in enumerate(zip(order.tolist(), dists[order].tolist())):
+            for pos, (row, dist) in enumerate(zip(order.tolist(), dists.tolist())):
                 out.write(f"{qi},{pos},{row},{dist}\n")
     return 0
 

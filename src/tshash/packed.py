@@ -8,6 +8,7 @@ last word are always zero.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -99,22 +100,33 @@ def write_codes_file(path, codes: PackedCodes) -> None:
 
 
 def read_codes_file(path) -> PackedCodes:
+    """Read a codes file; a malformed one raises CodesFormatError.
+
+    A file whose size matches its header is read once, straight into the
+    array that holds the codes. Anything else (a wrong size, or a pipe,
+    whose size is known only once read) is read whole before it is checked,
+    so a corrupt header never sizes an allocation.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise CodesFormatError(f"corrupt codes file {path}: truncated header")
-    magic, version, n, m = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise CodesFormatError(f"corrupt codes file {path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise CodesFormatError(f"unsupported codes file version {version}")
-    if m < 1:
-        raise CodesFormatError(f"corrupt codes file {path}: m={m}")
-    body = blob[_HEADER.size :]
-    expected = n * words_per_code(m) * 8
-    if len(body) != expected:
-        raise CodesFormatError(
-            f"corrupt codes file {path}: expected {expected} payload bytes, got {len(body)}"
-        )
-    words = np.frombuffer(body, dtype="<u8").astype(np.uint64).reshape(n, words_per_code(m))
-    return PackedCodes(words, m)
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise CodesFormatError(f"corrupt codes file {path}: truncated header")
+        magic, version, n, m = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise CodesFormatError(f"corrupt codes file {path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise CodesFormatError(f"unsupported codes file version {version}")
+        if m < 1:
+            raise CodesFormatError(f"corrupt codes file {path}: m={m}")
+        expected = n * words_per_code(m) * 8
+        if os.fstat(fh.fileno()).st_size == _HEADER.size + expected:
+            payload = np.empty(expected, dtype=np.uint8)
+            size = fh.readinto(payload)
+        else:
+            payload = fh.read()
+            size = len(payload)
+        if size != expected:
+            raise CodesFormatError(
+                f"corrupt codes file {path}: expected {expected} payload bytes, got {size}"
+            )
+    return PackedCodes(np.frombuffer(payload, dtype="<u8").reshape(n, words_per_code(m)), m)

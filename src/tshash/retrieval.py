@@ -2,12 +2,15 @@
 
 A database point's id is its row in the database codes. Rankings sort by
 ascending Hamming distance with ties broken by ascending id, which makes
-every downstream metric deterministic. Top-k ranking takes a stable
-argsort of the distances (_ranked_order); evaluation sorts packed keys
-(_query_stats). Four metrics are reported: precision at K, mean average
-precision over the full ranking, area under the precision-recall curve
-sampled at the m+1 integer distance thresholds, and precision within a
-fixed Hamming radius.
+every downstream metric deterministic. Every ranking orders one key per
+point, dist << shift | id << 1 | flag, whose layout the CodeDatabase fixes
+when it is built; the keys are unique and sort in (distance, id) order.
+Top-k ranking partitions the keys at k and sorts the k smallest
+(_ranked_order); evaluation sets the flag of the relevant points and sorts
+all N keys (_query_stats). Four metrics are reported: precision at K, mean
+average precision over the full ranking, area under the precision-recall
+curve sampled at the m+1 integer distance thresholds, and precision within
+a fixed Hamming radius.
 """
 
 from __future__ import annotations
@@ -38,18 +41,26 @@ __all__ = [
 
 DEFAULT_K = 300
 DEFAULT_RADIUS = 2
-# Top-k selection takes a dozen numpy calls, about 20 us whatever N is; the
-# stable (radix) argsort of all N distances costs about 4 to 5 ns a point. The
-# two met between 2,000 and 10,000 points (m = 8 to 64, 2-core Xeon), so
-# smaller databases sort all N.
-_SELECT_MIN_N = 4096
 
 
 @dataclass
 class CodeDatabase:
-    """Packed codes for N database points; a point's id is its row."""
+    """Packed codes for N database points; a point's id is its row.
+
+    It also holds the layout of the sort keys dist << shift | id << 1 | flag
+    that every ranking orders (key_dtype and shift, from _key_layout) and the
+    read-only id keys id << 1, built once with the database.
+    """
 
     codes: PackedCodes
+    key_dtype: type = field(init=False, repr=False, compare=False)
+    shift: int = field(init=False, repr=False, compare=False)
+    id_keys: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.key_dtype, self.shift = _key_layout(self.n, self.m)
+        self.id_keys = np.arange(0, 2 * self.n, 2, dtype=self.key_dtype)
+        self.id_keys.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -157,31 +168,6 @@ def hamming_distances(
     return np.bitwise_count(xor).sum(axis=1, dtype=np.min_scalar_type(db.m), out=out)
 
 
-def _kth_distance(dists: np.ndarray, k: int) -> tuple[int, int]:
-    """The smallest t with at least k distances <= t, and how many there are.
-
-    Gallops up from the minimum, then bisects. Every probe stays within
-    [min, max]: numpy 2.0 may reject a Python int outside the key dtype.
-    """
-    lo, top = int(dists.min()), int(dists.max())
-    t, step = lo, 1
-    count = np.count_nonzero(dists <= t)
-    while count < k:
-        lo = t + 1
-        t = min(t + step, top)
-        step *= 2
-        count = np.count_nonzero(dists <= t)
-    # The answer lies in [lo, t], and count is the count at t.
-    while lo < t:
-        mid = (lo + t) // 2
-        c = np.count_nonzero(dists <= mid)
-        if c >= k:
-            t, count = mid, c
-        else:
-            lo = mid + 1
-    return t, count
-
-
 def _key_layout(n: int, m: int) -> tuple[type, int]:
     """The dtype and shift of the sort keys dist << shift | id << 1 | flag.
 
@@ -194,20 +180,21 @@ def _key_layout(n: int, m: int) -> tuple[type, int]:
 
 
 def _ranked_order(db: CodeDatabase, query_words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest ids, by ascending distance and id on ties, and every distance.
+    """The k nearest ids (intp), by ascending distance and id on ties, and their distances.
 
-    A stable argsort of the distances in id order gives that order. The k
-    nearest lie within the k-th smallest distance t, so only the points
-    within t (listed by ascending id) are sorted, unless they are more than
-    half of N or N is below _SELECT_MIN_N, when sorting all N costs no more.
+    The keys dist << shift | id << 1 are unique and ordered as the ranking
+    is, so partitioning them at k - 1 and sorting the k smallest gives the
+    top k; the ids and distances are read back from those keys.
     """
     dists = hamming_distances(db, query_words)
-    if k and dists.size >= _SELECT_MIN_N and 2 * k <= dists.size:
-        t, count = _kth_distance(dists, k)
-        if 2 * count <= dists.size:
-            cand = np.flatnonzero(dists <= t)
-            return cand[np.argsort(dists[cand], kind="stable")[:k]], dists
-    return np.argsort(dists, kind="stable")[:k], dists
+    keys = np.left_shift(dists, db.shift, dtype=db.key_dtype)
+    keys |= db.id_keys
+    if 0 < k < keys.size:
+        keys.partition(k - 1)
+    top = keys[:k]
+    top.sort()
+    ids = (top & ((1 << db.shift) - 1)) >> 1
+    return ids.astype(np.intp), top >> db.shift
 
 
 def rank(db: CodeDatabase, query_words: np.ndarray, k: int) -> np.ndarray:
@@ -223,13 +210,11 @@ class _RankBuffers:
 
     def __init__(self, db: CodeDatabase):
         n, m = db.n, db.m
-        dtype, self.shift = _key_layout(n, m)
         self.xor = np.empty_like(db.codes.words)
         self.dists = np.empty(n, np.min_scalar_type(m))
-        self.keys = np.empty(n, dtype)
-        self.id_keys = np.arange(0, 2 * n, 2, dtype=dtype)
+        self.keys = np.empty(n, db.key_dtype)
         # The keys of the points within distance t lie below bounds[t].
-        self.bounds = np.arange(1, m + 2, dtype=dtype) << self.shift
+        self.bounds = np.arange(1, m + 2, dtype=db.key_dtype) << db.shift
         self.odd = np.empty(n, dtype=bool)
         self.one_to_n = np.arange(1, n + 1, dtype=np.float64)
 
@@ -250,8 +235,8 @@ def _query_stats(db: CodeDatabase, buf: _RankBuffers, qwords, relevant, k):
     dists = hamming_distances(db, qwords, out=buf.dists, scratch=buf.xor)
     keys = buf.keys
     np.copyto(keys, dists)
-    keys <<= buf.shift
-    keys |= buf.id_keys
+    keys <<= db.shift
+    keys |= db.id_keys
     keys[relevant] |= 1
     keys.sort()
     # n_ret[t] points lie within distance t, n_rel_ret[t] of them relevant.

@@ -418,7 +418,7 @@ class TestQuery:
         first = lines[1].split(",")
         assert first[0] == "0" and first[3] == "0"  # self-match at distance 0
 
-    @pytest.mark.parametrize("n", [40, 5000])  # 5000 is past retrieval._SELECT_MIN_N
+    @pytest.mark.parametrize("n", [40, 5000])
     def test_k_cuts_through_tied_distances(self, tmp_path, capsys, n):
         # Three distinct codes over n points: every distance is shared by
         # many points, so k=12 ends inside a run of ties.

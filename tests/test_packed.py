@@ -1,3 +1,7 @@
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +94,53 @@ class TestCodesFile:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(CodesFormatError, match="payload"):
             read_codes_file(path)
+
+    def test_trailing_payload_bytes_rejected(self, tmp_path):
+        packed = pack_signs(np.ones((4, 64), dtype=np.int8))
+        path = tmp_path / "codes.tshc"
+        write_codes_file(path, packed)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CodesFormatError, match="expected 32 payload bytes, got 33"):
+            read_codes_file(path)
+
+    def test_payload_is_read_once(self, tmp_path):
+        # The words array and PackedCodes' padding check are one payload
+        # each; a copy of the file's bytes on top would pass 2.5x.
+        rng = np.random.default_rng(3)
+        words = rng.integers(0, 2**63, size=(50_000, 1), dtype=np.uint64)
+        path = tmp_path / "codes.tshc"
+        write_codes_file(path, PackedCodes(words, 64))
+        tracemalloc.start()
+        try:
+            back = read_codes_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.words, words)
+        assert peak <= 2.5 * words.nbytes, peak / words.nbytes
+
+    # A pipe (a FIFO here, as from a shell's process substitution) has no
+    # size to check before reading; its payload is read whole.
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("cut", [0, 5])
+    def test_pipe_is_read(self, tmp_path, cut):
+        packed = pack_signs(np.random.default_rng(2).choice([-1, 1], size=(12, 70)))
+        path = tmp_path / "codes.tshc"
+        write_codes_file(path, packed)
+        blob = path.read_bytes()
+        fifo = tmp_path / "codes.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(blob[: len(blob) - cut]), daemon=True)
+        writer.start()
+        try:
+            if cut:
+                with pytest.raises(CodesFormatError, match="expected 192 payload bytes, got 187"):
+                    read_codes_file(fifo)
+            else:
+                assert np.array_equal(read_codes_file(fifo).words, packed.words)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "tiny.tshc"

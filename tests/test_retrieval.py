@@ -172,22 +172,27 @@ class TestRank:
             assert got.tolist() == want
 
     # m=300 ranks on 16-bit distances. The database holds 1, 3 or n distinct
-    # codes, so runs of tied distances cross the k-th nearest distance. The
-    # selection runs at every n here, not only from _SELECT_MIN_N points up.
+    # codes, so runs of tied distances cross the k-th nearest distance. Keys
+    # are uint32 at these sizes; the same data on uint64 keys, patched into
+    # the layout before each database is built, covers the wide layout that a
+    # large N times a large m needs.
     @pytest.mark.parametrize("m", [1, 3, 8, 64, 65, 300])
     @pytest.mark.parametrize("n", [1, 2, 7, 300, 2000])
     def test_top_k_equals_prefix_of_full_sort(self, m, n, monkeypatch):
-        monkeypatch.setattr(retrieval, "_SELECT_MIN_N", 0)
-        rng = np.random.default_rng(1000 * m + n)
-        for distinct in sorted({1, 3, n}):
-            pool = rng.choice([-1, 1], size=(distinct, m)).astype(np.int8)
-            db = CodeDatabase(packed_from_signs(pool[rng.integers(0, distinct, n)]))
-            queries = packed_from_signs(rng.choice([-1, 1], size=(2, m)).astype(np.int8))
-            for qwords in [*queries.words, db.codes.words[0]]:
-                full = np.argsort(hamming_distances(db, qwords), kind="stable")
-                for k in sorted({0, 1, 2, 10, n // 2, n - 1, n} & set(range(n + 1))):
-                    got = rank(db, qwords, k)
-                    assert got.dtype == full.dtype and np.array_equal(got, full[:k]), (distinct, k)
+        layout = retrieval._key_layout
+        for key_dtype in (np.uint32, np.uint64):
+            monkeypatch.setattr(retrieval, "_key_layout", lambda n, m: (key_dtype, layout(n, m)[1]))
+            rng = np.random.default_rng(1000 * m + n)
+            for distinct in sorted({1, 3, n}):
+                pool = rng.choice([-1, 1], size=(distinct, m)).astype(np.int8)
+                db = CodeDatabase(packed_from_signs(pool[rng.integers(0, distinct, n)]))
+                assert db.id_keys.dtype == key_dtype
+                queries = packed_from_signs(rng.choice([-1, 1], size=(2, m)).astype(np.int8))
+                for qwords in [*queries.words, db.codes.words[0]]:
+                    full = np.argsort(hamming_distances(db, qwords), kind="stable")
+                    for k in sorted({0, 1, 2, 10, n // 2, n - 1, n} & set(range(n + 1))):
+                        got = rank(db, qwords, k)
+                        assert got.dtype == full.dtype and np.array_equal(got, full[:k]), (distinct, k)
 
     def test_zero_k_on_empty_database(self):
         db = CodeDatabase(packed_from_signs(np.ones((0, 5))))
@@ -289,12 +294,9 @@ class TestEvaluate:
         monkeypatch.setattr(retrieval, "_key_layout", lambda n, m: (np.uint64, layout(n, m)[1]))
         check_query_stats_against_reference(m, key_dtype=np.uint64)
 
-    # evaluate sorts packed keys and rank argsorts distances; on a database of
-    # heavy ties both must follow one tie rule, on both of rank's paths.
-    @pytest.mark.parametrize("select", [False, True])
-    def test_rank_and_evaluate_share_one_tie_rule(self, select, monkeypatch):
-        if select:
-            monkeypatch.setattr(retrieval, "_SELECT_MIN_N", 0)
+    # evaluate sorts all N keys and rank partitions them; on a database of
+    # heavy ties both must follow one tie rule.
+    def test_rank_and_evaluate_share_one_tie_rule(self):
         rng = np.random.default_rng(77)
         m, n = 16, 300
         pool = rng.choice([-1, 1], size=(3, m)).astype(np.int8)
