@@ -176,9 +176,16 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _load_codes(path):
+def _load_code_files(args):
+    """The database and query codes of eval or query, checked against each other and --k."""
     with _stage("codes"):
-        return read_codes_file(path)
+        db_codes = read_codes_file(args.db)
+        query_codes = read_codes_file(args.queries)
+    if db_codes.m != query_codes.m:
+        raise StageError(f"{args.command}: database m={db_codes.m} but queries m={query_codes.m}")
+    if not 1 <= args.k <= db_codes.n:
+        raise UsageError(f"--k must lie in [1, {db_codes.n}]")
+    return db_codes, query_codes
 
 
 def cmd_eval(args) -> int:
@@ -186,12 +193,7 @@ def cmd_eval(args) -> int:
         raise UsageError("--threads must be >= 1")
     if args.radius < 0:
         raise UsageError("--radius must be >= 0")
-    db_codes = _load_codes(args.db)
-    query_codes = _load_codes(args.queries)
-    if db_codes.m != query_codes.m:
-        raise StageError(f"eval: database m={db_codes.m} but queries m={query_codes.m}")
-    if not 1 <= args.k <= db_codes.n:
-        raise UsageError(f"--k must lie in [1, {db_codes.n}]")
+    db_codes, query_codes = _load_code_files(args)
     with _stage("ground-truth"):
         gt = retrieval.load_ground_truth(args.ground_truth)
     with _stage("eval"):
@@ -206,12 +208,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_query(args) -> int:
-    db_codes = _load_codes(args.db)
-    query_codes = _load_codes(args.queries)
-    if db_codes.m != query_codes.m:
-        raise StageError(f"query: database m={db_codes.m} but queries m={query_codes.m}")
-    if not 1 <= args.k <= db_codes.n:
-        raise UsageError(f"--k must lie in [1, {db_codes.n}]")
+    db_codes, query_codes = _load_code_files(args)
     with _stage("query"):
         db = retrieval.CodeDatabase(db_codes)
         out = sys.stdout

@@ -14,10 +14,11 @@ problem comes in one of two forms, chosen by learn_codes from its input:
   coefficient is one lookup in a (y, sbar) table, and A.z is a product with
   scipy's CSR matrix; scipy.sparse.linalg is never loaded.
 
-Both forms expose A.z (matvec) and the minimum eigenpair (min_eigenpair),
-which is all that spectral_relax and box_relax ask of them. Both take the
-eigenpair from one thick-restart Lanczos iteration in numpy (_lanczos_min)
-on their own A.z.
+Each form supplies only A.z (matvec) and the absolute row sums of A, which
+its setter fills. Their base _BitProblem derives the rest once: n, z.T A z
+(quad), the Gershgorin bound, and the minimum eigenpair (min_eigenpair) by
+one thick-restart Lanczos iteration in numpy (_lanczos_min) on A.z. That is
+all that spectral_relax and box_relax ask of a form.
 
 update_bit takes either form, relaxes it twice (sphere, then box),
 sign-rounds the relaxed solutions and keeps the best of {rounded
@@ -75,7 +76,7 @@ class SpectralResidualWarning(UserWarning):
     """
 
 
-@dataclass
+@dataclass(eq=False)
 class CodeMatrix:
     """n x m matrix of {-1, +1} codes, one row per training point."""
 
@@ -98,7 +99,47 @@ class CodeMatrix:
         return self.bits.shape[1]
 
 
-class BqpInstance:
+class _BitProblem:
+    """One bit's problem z.T A z, known through A.z and the absolute row sums of A.
+
+    A form supplies matvec and the array _row_sums (row i's sum of
+    |A[i, j]|), which its setter fills; the order n, the objective, the
+    Gershgorin bound and the minimum eigenpair follow from those two.
+    """
+
+    _row_sums: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self._row_sums.size
+
+    def quad(self, z: np.ndarray) -> float:
+        """Quadratic objective z.T A z."""
+        z = np.asarray(z, dtype=np.float64)
+        return float(z @ self.matvec(z))
+
+    def gershgorin_bound(self) -> float:
+        """Upper bound on the spectral radius (max absolute row sum).
+
+        The row sums come from the form's setter, so this copies nothing.
+        """
+        return float(self._row_sums.max(initial=0.0))
+
+    def min_eigenpair(self, v0: np.ndarray) -> tuple[float, np.ndarray] | None:
+        """Minimum eigenvalue and unit eigenvector by thick-restart Lanczos from v0.
+
+        None if _lanczos_min reaches its cap on matrix-vector products. For
+        a nonzero eigenvalue the eigenvector is exactly 0 on a zero row of A
+        (a point in no pair, say), so those entries are set to 0 rather than
+        left at rounding level.
+        """
+        pair = _lanczos_min(self.matvec, v0, self.gershgorin_bound())
+        if pair is not None and pair[0] != 0.0:
+            pair[1][self._row_sums == 0.0] = 0.0
+        return pair
+
+
+class BqpInstance(_BitProblem):
     """Per-bit binary quadratic problem z.T A z on a fixed set of point pairs.
 
     Each pair p = (i[p], j[p]) owns the two entries A[i, j] = A[j, i];
@@ -121,14 +162,13 @@ class BqpInstance:
         self._slot_pair = self.matrix.data.astype(np.intp) - 1
         self.matrix.data[:] = 0.0
         self._rows = np.flatnonzero(np.diff(self.matrix.indptr))  # the non-empty rows
-        self._row_sums = np.zeros(n)  # each row's sum of |A[i, j]|
+        self._row_sums = np.zeros(n)
 
     def set_coefficients(self, a: np.ndarray) -> None:
         """Set A[i, j] = A[j, i] = a[p] for every pair p.
 
-        Also sums |a| over each row's stored slots, in the order that scipy's
-        abs(matrix).sum(axis=1) takes, for gershgorin_bound and the rows
-        that min_eigenpair zeroes.
+        Also sums |a| over each row's stored slots into _row_sums, in the
+        order that scipy's abs(matrix).sum(axis=1) takes.
         """
         data = self.matrix.data
         np.take(np.asarray(a, dtype=np.float64), self._slot_pair, out=data)
@@ -136,38 +176,9 @@ class BqpInstance:
             starts = self.matrix.indptr[self._rows]
             self._row_sums[self._rows] = np.add.reduceat(np.abs(data), starts)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
     def matvec(self, z: np.ndarray) -> np.ndarray:
         """A.z for a vector z."""
         return self.matrix @ z
-
-    def quad(self, z: np.ndarray) -> float:
-        """Quadratic objective z.T A z."""
-        z = np.asarray(z, dtype=np.float64)
-        return float(z @ self.matvec(z))
-
-    def min_eigenpair(self, v0: np.ndarray) -> tuple[float, np.ndarray] | None:
-        """Minimum eigenvalue and unit eigenvector by thick-restart Lanczos from v0.
-
-        None if _lanczos_min reaches its cap on matrix-vector products. For
-        a nonzero eigenvalue the eigenvector is exactly 0 on a zero row of A
-        (a point in no pair, say), so those entries are set to 0 rather than
-        left at rounding level.
-        """
-        pair = _lanczos_min(self.matvec, v0, self.gershgorin_bound())
-        if pair is not None and pair[0] != 0.0:
-            pair[1][self._row_sums == 0.0] = 0.0
-        return pair
-
-    def gershgorin_bound(self) -> float:
-        """Upper bound on the spectral radius (max absolute row sum).
-
-        The row sums come from set_coefficients, so this copies nothing.
-        """
-        return float(self._row_sums.max(initial=0.0))
 
 
 def _lanczos_min(matvec, v0: np.ndarray, bound: float) -> tuple[float, np.ndarray] | None:
@@ -213,7 +224,7 @@ def _lanczos_min(matvec, v0: np.ndarray, bound: float) -> tuple[float, np.ndarra
         k, products = k + 1, products + 1
 
 
-class LowRankBqp:
+class LowRankBqp(_BitProblem):
     """Bit k's problem for ksh or bre when every pair of a labelled set is supervised.
 
     With R the n x (m-1) codes without bit k, and Y = 2CC^T - 11^T from the
@@ -237,11 +248,7 @@ class LowRankBqp:
         # The bre loss of a +-1-labelled pair is (s - m y)^2 / (4 m^2).
         self._scale = 1.0 if kind.tag == "ksh" else 1.0 / (4.0 * kind.m**2)
         self._rest = np.zeros((n, kind.m - 1))
-        self._radius = 0.0
-
-    @property
-    def n(self) -> int:
-        return self._classes.size
+        self._row_sums = np.zeros(n)
 
     def _class_sums(self, codes: np.ndarray) -> np.ndarray:
         """C^T codes in int64: one row of column sums per class."""
@@ -256,10 +263,12 @@ class LowRankBqp:
         # (YR)_i = 2 (C^T R)[class of i] - 1^T R, in integers.
         yr = 2 * sums[self._classes] - rest.sum(axis=0, dtype=np.int64)
         # |sbar_ij| <= m - 1, so |a_ij| = 2(m - y_ij sbar_ij) and row i of |A|
-        # sums to 2((n - 1)m - (r_i . (YR)_i - (m - 1))), the j = i term removed.
+        # sums to 2((n - 1)m - (r_i . (YR)_i - (m - 1))), the j = i term
+        # removed, exact in integers before scaling. Unscaled, every |a_ij| >= 2,
+        # so for n >= 2 no row of A is zero.
         ysbar = np.einsum("ij,ij->i", rest, yr, dtype=np.int64) - (self._m - 1)
         rows = (self.n - 1) * self._m - ysbar
-        self._radius = 2.0 * self._scale * float(rows.max())
+        self._row_sums = 2.0 * self._scale * rows
         np.copyto(self._rest, rest)
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
@@ -271,22 +280,6 @@ class LowRankBqp:
         out += z
         out *= 2.0 * self._scale
         return out
-
-    def min_eigenpair(self, v0: np.ndarray) -> tuple[float, np.ndarray] | None:
-        """Minimum eigenvalue and unit eigenvector by thick-restart Lanczos from v0.
-
-        None if _lanczos_min reaches its cap on matrix-vector products.
-        """
-        return _lanczos_min(self.matvec, v0, self._radius)
-
-    def quad(self, z: np.ndarray) -> float:
-        """Quadratic objective z.T A z."""
-        z = np.asarray(z, dtype=np.float64)
-        return float(z @ self.matvec(z))
-
-    def gershgorin_bound(self) -> float:
-        """Max absolute row sum of A, exact in integers before scaling."""
-        return self._radius
 
     def objective(self, bits: np.ndarray) -> float:
         """Training objective of the n x m codes bits over all ordered pairs.
@@ -352,7 +345,7 @@ def pairwise_objective(sup: PairSupervision, codes: CodeMatrix, kind: LossKind) 
     return _total_loss(kind, _pair_products(codes.bits, i, j), y)
 
 
-def spectral_relax(bqp: BqpInstance | LowRankBqp, *, seed: int = 0) -> np.ndarray:
+def spectral_relax(bqp: _BitProblem, *, seed: int = 0) -> np.ndarray:
     """Minimizer of z.T A z over the sphere ||z||^2 = n.
 
     The solution is the minimum-eigenvalue eigenvector of A, from
@@ -391,7 +384,7 @@ def spectral_relax(bqp: BqpInstance | LowRankBqp, *, seed: int = 0) -> np.ndarra
     return v * (np.sqrt(n) / np.linalg.norm(v))
 
 
-def box_relax(bqp: BqpInstance | LowRankBqp, init: np.ndarray) -> np.ndarray:
+def box_relax(bqp: _BitProblem, init: np.ndarray) -> np.ndarray:
     """Projected-gradient descent on z.T A z over the box [-1, 1]^n.
 
     Starts from init clamped into the box; every accepted step satisfies an
@@ -443,7 +436,7 @@ def _sign_round(v: np.ndarray) -> np.ndarray:
 
 
 def update_bit(
-    bqp: BqpInstance | LowRankBqp, incumbent: np.ndarray, seed: int = 0
+    bqp: _BitProblem, incumbent: np.ndarray, seed: int = 0
 ) -> tuple[np.ndarray, float]:
     """One bit update: the new column and its change in objective.
 

@@ -59,6 +59,18 @@ class EmptyDatasetError(DataFormatError):
     """A dataset CSV with no rows: empty, or every line blank."""
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, ascending; sorts a in place.
+
+    Sorts and keeps the first value of each run: np.unique (numpy 2.4) is
+    far slower on the pair keys and relevant ids this serves.
+    """
+    a.sort()
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _integer_ids(values, what: str) -> np.ndarray:
     """values as a contiguous int64 array; DataFormatError for booleans and for
     non-integral or out-of-int64 values.
@@ -82,7 +94,7 @@ def _integer_ids(values, what: str) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Feature matrix (n x d, float64) with optional integer class labels."""
 
@@ -289,8 +301,7 @@ class PairSupervision:
                 raise DataFormatError("pair index out of range")
             if np.any(i >= j):
                 raise DataFormatError("pairs must be stored with i < j")
-            keys = np.sort(i * n + j)
-            if np.any(keys[1:] == keys[:-1]):
+            if _sorted_distinct(i * n + j).size < i.size:
                 raise DataFormatError("duplicate pair")
         for arr in (i, j, y):
             arr.flags.writeable = False
@@ -324,9 +335,7 @@ def _sample_partners(n: int, pairs_per_point: int, seed: int) -> tuple[np.ndarra
     a = np.repeat(np.arange(n, dtype=np.int64), pairs_per_point)
     b = np.concatenate([rng.choice(n - 1, size=pairs_per_point, replace=False) for _ in range(n)])
     b += b >= a
-    # Sort and compare neighbours: np.unique (numpy 2.4) is far slower at this size.
-    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    keys = _sorted_distinct(np.minimum(a, b) * n + np.maximum(a, b))
     return keys // n, keys % n
 
 
@@ -465,7 +474,7 @@ def rbf_bandwidth(ds: Dataset, t: float) -> float:
     return t * mean_dist
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelConfig:
     """RBF anchor set and bandwidth for kernel-transferred features."""
 

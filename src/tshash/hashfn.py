@@ -47,7 +47,7 @@ def _check_features(mode: str, kcfg: KernelConfig | None) -> None:
         raise ValueError("kernel_cfg must be present exactly when feature_mode is 'kernel'")
 
 
-@dataclass
+@dataclass(eq=False)
 class HashModel:
     """The m bit hashes x -> sign(f(x) @ weights + biases), with sign(0) = +1.
 

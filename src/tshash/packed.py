@@ -44,7 +44,7 @@ def _padding_mask(m: int) -> np.uint64:
     return np.uint64((1 << used) - 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class PackedCodes:
     """n codes of m bits each, packed into an (n, ceil(m/64)) uint64 array."""
 

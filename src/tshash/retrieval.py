@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _INT64_MAX, _integer_ids
+from .data import _INT64_MAX, _integer_ids, _sorted_distinct
 from .packed import PackedCodes
 
 __all__ = [
@@ -43,7 +43,7 @@ DEFAULT_K = 300
 DEFAULT_RADIUS = 2
 
 
-@dataclass
+@dataclass(eq=False)
 class CodeDatabase:
     """Packed codes for N database points; a point's id is its row.
 
@@ -53,9 +53,9 @@ class CodeDatabase:
     """
 
     codes: PackedCodes
-    key_dtype: type = field(init=False, repr=False, compare=False)
-    shift: int = field(init=False, repr=False, compare=False)
-    id_keys: np.ndarray = field(init=False, repr=False, compare=False)
+    key_dtype: type = field(init=False, repr=False)
+    shift: int = field(init=False, repr=False)
+    id_keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.key_dtype, self.shift = _key_layout(self.n, self.m)
@@ -72,7 +72,7 @@ class CodeDatabase:
 
 
 def _sorted_unique(ids) -> np.ndarray:
-    """Sorted int64 copy of the distinct ids; np.unique (numpy 2.4) is far slower.
+    """Sorted int64 copy of the distinct ids (data._sorted_distinct).
 
     Always a copy, even of sorted int64 ids, so the caller's array is never
     aliased. Raises DataFormatError, a ValueError, for a boolean array and
@@ -81,13 +81,10 @@ def _sorted_unique(ids) -> np.ndarray:
     ids = _integer_ids(ids if isinstance(ids, np.ndarray) else list(ids), "relevant ids").copy()
     if (ids[1:] > ids[:-1]).all():
         return ids
-    ids.sort()
-    keep = np.ones(ids.size, dtype=bool)
-    keep[1:] = ids[1:] != ids[:-1]
-    return ids[keep]
+    return _sorted_distinct(ids)
 
 
-@dataclass
+@dataclass(eq=False)
 class GroundTruth:
     """Per-query database ids counted as true neighbors.
 
@@ -121,7 +118,7 @@ class GroundTruth:
         return len(self.relevant)
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalReport:
     precision_at_k: float
     map: float

@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 from tshash import retrieval
+from tshash.codegen import CodeMatrix
+from tshash.data import Dataset, KernelConfig
+from tshash.hashfn import HashModel
 from tshash.packed import pack_signs
 from tshash.retrieval import (
     CodeDatabase,
+    EvalReport,
     GroundTruth,
     _query_stats,
     evaluate,
@@ -596,3 +600,24 @@ class TestReportExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "threshold,precision,recall"
         assert len(lines) == report.m + 2  # header + m+1 thresholds
+
+
+# Each builds an instance holding arrays of more than one entry, whose == is elementwise.
+ARRAY_HOLDERS = {
+    "Dataset": lambda: Dataset(np.ones((2, 2)), [0, 1]),
+    "KernelConfig": lambda: KernelConfig(np.ones((2, 2)), 1.0),
+    "CodeMatrix": lambda: CodeMatrix(np.ones((2, 3))),
+    "HashModel": lambda: HashModel(np.ones((1, 2)), [0.0, 0.0], [False, False], "raw", 1),
+    "PackedCodes": lambda: pack_signs(np.ones((3, 5))),
+    "CodeDatabase": lambda: CodeDatabase(pack_signs(np.ones((3, 5)))),
+    "GroundTruth": lambda: GroundTruth([[0, 1]]),
+    "EvalReport": lambda: EvalReport(0.5, 0.5, 0.5, 0.5, 1, 2, 5, 1, 0, np.ones(6), np.ones(6)),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_equality_of_array_holders_is_a_bool(make):
+    """== on two instances with equal contents returns a bool instead of raising."""
+    a, b = make(), make()
+    assert isinstance(a == b, bool)
+    assert a == a
