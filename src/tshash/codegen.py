@@ -5,10 +5,9 @@ pairwise code loss restricted to bit k collapses to a quadratic form
 z.T A z over the n column entries (see loss.quadratic_coeffs). A bit's
 problem comes in one of two forms, chosen by learn_codes from its input:
 
-- LowRankBqp, for label-form supervision and the ksh or bre loss. A is
-  then 2(RR^T - mY) + 2I (ksh; bre divides by 4m^2), where R is the codes
-  without bit k and Y = 2CC^T - 11^T comes from the one-hot labels C, so
-  A.z costs O(n(m + c)), no pair is stored, and numpy alone is needed.
+- LowRankBqp, for label-form supervision and a loss with a Gram form (ksh,
+  bre; see loss._gram_scale). A.z then costs O(n(m + c)) from the codes and
+  labels, no pair is stored, and numpy alone is needed.
 - BqpInstance, for every other input. The pairs never change between
   updates, so the sparse structure of A is built once; per bit, each pair's
   coefficient is one lookup in a (y, sbar) table, and A.z is a product with
@@ -34,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import PairSupervision, _row_blocks, derive_seed
-from .loss import LossKind, pair_loss, quadratic_coeffs
+from .loss import LossKind, _gram_scale, pair_loss, quadratic_coeffs
 
 __all__ = [
     "CodeMatrix",
@@ -64,9 +63,6 @@ _LANCZOS_BASIS = 20
 _LANCZOS_KEEP = 10
 _LANCZOS_TOL = 1e-12
 _LANCZOS_MATVECS_PER_ROW = 10
-
-# Losses whose bit problem has the LowRankBqp form under full label supervision.
-_LOW_RANK_LOSSES = ("ksh", "bre")
 
 
 class SpectralResidualWarning(UserWarning):
@@ -231,13 +227,14 @@ class LowRankBqp(_BitProblem):
     one-hot labels C (y_ij = +1 on same-class pairs, -1 otherwise), the ksh
     matrix is A = 2(RR^T - mY) + 2I: the off-diagonal entries are the pair
     coefficients 2(sbar_ij - m y_ij), and 2I cancels the diagonal
-    2(m - 1 - m). bre's matrix is the same divided by 4m^2. A is never
+    2(m - 1 - m). bre's is that over 4m^2 (loss._gram_scale). A is never
     formed: matvec computes A.z from R and per-class sums of z, in
     O(n(m + c)). set_rest fixes R for the next bit.
     """
 
     def __init__(self, labels: np.ndarray, kind: LossKind):
-        if kind.tag not in _LOW_RANK_LOSSES:
+        self._scale = _gram_scale(kind)
+        if self._scale is None:
             raise ValueError(f"no low-rank form for the {kind.tag} loss")
         classes, self._classes = np.unique(labels, return_inverse=True)
         n = self._classes.size
@@ -245,8 +242,6 @@ class LowRankBqp(_BitProblem):
         self._order = np.argsort(self._classes, kind="stable")
         self._starts = np.searchsorted(self._classes[self._order], np.arange(classes.size))
         self._m = kind.m
-        # The bre loss of a +-1-labelled pair is (s - m y)^2 / (4 m^2).
-        self._scale = 1.0 if kind.tag == "ksh" else 1.0 / (4.0 * kind.m**2)
         self._rest = np.zeros((n, kind.m - 1))
         self._row_sums = np.zeros(n)
 
@@ -478,7 +473,7 @@ def learn_codes(
     rng = np.random.default_rng(cfg.seed)
     bits = (rng.integers(0, 2, size=(n, m), dtype=np.int8) * 2 - 1).astype(np.int8)
 
-    low_rank = sup.labels is not None and kind.tag in _LOW_RANK_LOSSES
+    low_rank = sup.labels is not None and _gram_scale(kind) is not None
     if low_rank:
         bqp = LowRankBqp(sup.labels, kind)
         objective = bqp.objective(bits)

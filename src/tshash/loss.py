@@ -61,6 +61,14 @@ def _loss_values(kind: LossKind, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.exp((y * d_h + m * (y < 0)) / m)
 
 
+def _gram_scale(kind: LossKind) -> float | None:
+    """Scale of kind's Gram form under label supervision (codegen.LowRankBqp), or None.
+
+    On +-1 affinities ksh's pair loss is (s - m y)^2, and bre's is that over 4m^2.
+    """
+    return {"ksh": 1.0, "bre": 1.0 / (4.0 * kind.m**2)}.get(kind.tag)
+
+
 def pair_loss(kind: LossKind, s, y):
     """Loss of a code pair with inner product s and affinity y.
 

@@ -67,14 +67,10 @@ class PackedCodes:
     def n(self) -> int:
         return self.words.shape[0]
 
-    def bits01(self) -> np.ndarray:
-        """Unpack to an (n, m) uint8 matrix of 0/1 bits."""
-        raw = self.words.astype("<u8").view(np.uint8)
-        return np.unpackbits(raw, axis=1, bitorder="little")[:, : self.m]
-
     def signs(self) -> np.ndarray:
         """Unpack to an (n, m) int8 matrix of {-1, +1} codes."""
-        return (self.bits01().astype(np.int8) * 2 - 1).astype(np.int8)
+        raw = self.words.astype("<u8").view(np.uint8)
+        return np.unpackbits(raw, axis=1, bitorder="little")[:, : self.m].view(np.int8) * 2 - 1
 
 
 def pack_signs(signs: np.ndarray) -> PackedCodes:

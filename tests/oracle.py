@@ -176,7 +176,7 @@ def arpack_min_eigenvalue(matrix, v0: np.ndarray) -> float:
 # ------------------------------------------------------------ retrieval
 
 def naive_hamming(bits_a: np.ndarray, bits_b: np.ndarray) -> int:
-    """Per-position loop over 0/1 bit vectors."""
+    """Per-position loop over two code vectors: the count of unequal entries (0/1 or +-1 alike)."""
     assert len(bits_a) == len(bits_b)
     d = 0
     for x, v in zip(bits_a, bits_b):

@@ -213,8 +213,8 @@ def test_criterion_6_retrieval_oracle_equivalence(capsys):
         db = CodeDatabase(db_codes)
         gt = GroundTruth(sets)
 
-        db_bits = db_codes.bits01()
-        q_bits = q_codes.bits01()
+        db_bits = db_codes.signs()
+        q_bits = q_codes.signs()
         for qi in range(n_q):
             want = [rid for _, rid in oracle.naive_rank(db_bits, np.arange(n_db), q_bits[qi])]
             got = rank(db, q_codes.words[qi], n_db).tolist()

@@ -125,7 +125,7 @@ class TestTrain:
         assert float(trace[-1].split(",")[2]) == 0.0
         model = load_model(model_path)
         ds = load_dataset(data, has_labels=True)
-        bits = encode(model, ds.features).bits01()
+        bits = encode(model, ds.features).signs()
         assert bits[0, 0] == bits[1, 0]  # similar pair gets matching codes
 
     def test_two_point_dissimilar_codes_differ(self, tmp_path):
@@ -138,7 +138,7 @@ class TestTrain:
         assert code == 0
         model = load_model(model_path)
         ds = load_dataset(data, has_labels=True)
-        bits = encode(model, ds.features).bits01()
+        bits = encode(model, ds.features).signs()
         assert bits[0, 0] != bits[1, 0]
 
     def test_distance_supervision_on_unlabeled_data(self, tmp_path):

@@ -741,7 +741,14 @@ class TestLowRankForm:
 
     @pytest.mark.parametrize(
         "tag, labelled, low_rank",
-        [("ksh", True, True), ("bre", True, True), ("exph", True, False), ("ksh", False, False)],
+        [
+            ("ksh", True, True),
+            ("bre", True, True),
+            ("exph", True, False),
+            ("splh", True, False),
+            ("ee", True, False),
+            ("ksh", False, False),
+        ],
     )
     def test_form_chosen_from_input(self, monkeypatch, tag, labelled, low_rank):
         sup = full_label_supervision(12, 3, seed=6)
@@ -771,8 +778,9 @@ class TestLowRankForm:
 
     def test_rejects_other_losses(self):
         sup = full_label_supervision(5, 2, seed=7)
-        with pytest.raises(ValueError, match="low-rank"):
-            LowRankBqp(sup.labels, LossKind("splh", 4))
+        for tag in ("splh", "ee", "exph"):
+            with pytest.raises(ValueError, match="low-rank"):
+                LowRankBqp(sup.labels, LossKind(tag, 4))
 
     def test_rejects_wrong_rest_shape(self):
         bqp = LowRankBqp(np.array([0, 1, 1]), LossKind("ksh", 4))

@@ -216,7 +216,7 @@ class TestEncode:
     def test_direct_sign_application(self):
         model = HashModel(np.array([[1.0]]), [0.0], [False], "raw", 1)
         packed = encode(model, np.array([[-2.0], [3.0]]))
-        assert packed.bits01().ravel().tolist() == [0, 1]
+        assert packed.signs().ravel().tolist() == [-1, 1]
 
     def test_sign_zero_is_positive(self):
         model = HashModel(np.array([[1.0, -1.0]]), [0.0, 0.0], [False, False], "raw", 1)

@@ -50,7 +50,7 @@ class TestPacking:
     def test_empty_matrix_allowed(self):
         packed = PackedCodes(np.zeros((0, 1), dtype=np.uint64), 8)
         assert packed.n == 0
-        assert packed.bits01().shape == (0, 8)
+        assert packed.signs().shape == (0, 8)
 
 
 class TestCodesFile:

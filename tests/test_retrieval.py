@@ -109,7 +109,7 @@ class TestHammingDistance:
             sa = rng.choice([-1, 1], size=(1, m))
             sb = rng.choice([-1, 1], size=(1, m))
             pa, pb = packed_from_signs(sa), packed_from_signs(sb)
-            want = oracle.naive_hamming(pa.bits01()[0], pb.bits01()[0])
+            want = oracle.naive_hamming(pa.signs()[0], pb.signs()[0])
             assert one_row_distance(pa, pb) == want
 
     # m=64 fills one word (uint8 distances); m=600 needs 16-bit distances
@@ -171,7 +171,7 @@ class TestRank:
         db_codes, q_codes, _ = random_instance(rng, 300, 5, m)
         db = CodeDatabase(db_codes)
         for qi in range(q_codes.n):
-            want = [rid for _, rid in oracle.naive_rank(db_codes.bits01(), np.arange(db.n), q_codes.bits01()[qi])]
+            want = [rid for _, rid in oracle.naive_rank(db_codes.signs(), np.arange(db.n), q_codes.signs()[qi])]
             got = rank(db, q_codes.words[qi], 300)
             assert got.tolist() == want
 
@@ -276,7 +276,7 @@ class TestEvaluate:
             db = CodeDatabase(db_codes)
             report = evaluate(db, q_codes, gt, k=25, radius=m // 3)
             want = oracle.naive_metrics(
-                db_codes.bits01(), np.arange(db.n), list(q_codes.bits01()),
+                db_codes.signs(), np.arange(db.n), list(q_codes.signs()),
                 gt.relevant, k=25, radius=m // 3, m=m,
             )
             for key in ("precision_at_k", "map", "pr_auc", "prec_within_r2"):
